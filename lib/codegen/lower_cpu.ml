@@ -71,11 +71,14 @@ let kernel_func ?tile ?(prec = C.Single) (p : Pipeline.t) (k : Kernel.t) =
       let v = C.lower ~prec ctx ~vars:[] ~cx:(ident "x") ~cy:(ident "y") arg in
       let clause, fold =
         match combine with
-        | Expr.Add -> ("+", Assign (ident "acc", ident "acc" +: v))
+        (* A parallel float sum reassociates, so its result would depend
+           on the thread count; it runs serially to stay bit-exact with
+           the interpreter.  min/max are exact in any order. *)
+        | Expr.Add -> (None, Assign (ident "acc", ident "acc" +: v))
         | Expr.Min ->
-          ("min", Assign (ident "acc", call (fn_prec "fminf") [ ident "acc"; v ]))
+          (Some "min", Assign (ident "acc", call (fn_prec "fminf") [ ident "acc"; v ]))
         | Expr.Max ->
-          ("max", Assign (ident "acc", call (fn_prec "fmaxf") [ ident "acc"; v ]))
+          (Some "max", Assign (ident "acc", call (fn_prec "fmaxf") [ ident "acc"; v ]))
         | Expr.Sub | Expr.Mul | Expr.Div | Expr.Pow ->
           invalid_arg
             (Printf.sprintf
@@ -83,9 +86,12 @@ let kernel_func ?tile ?(prec = C.Single) (p : Pipeline.t) (k : Kernel.t) =
                k.Kernel.name)
       in
       let inner = C.take_stmts ctx @ [ fold ] in
-      [
-        Decl { ctype = C.scalar_ctype prec; name = "acc"; init = Some (scalar_lit init) };
-        Pragma (Printf.sprintf "omp parallel for collapse(2) reduction(%s:acc)" clause);
+      Decl { ctype = C.scalar_ctype prec; name = "acc"; init = Some (scalar_lit init) }
+      :: (match clause with
+         | Some op ->
+           [ Pragma (Printf.sprintf "omp parallel for collapse(2) reduction(%s:acc)" op) ]
+         | None -> [])
+      @ [
         For
           {
             var = "y";

@@ -147,6 +147,11 @@ value kfuse_dl_open(value vpath)
     const char *err = dlerror();
     caml_failwith(err ? err : "dlopen failed");
   }
+  /* An artifact built with -fopenmp drags libgomp in.  The host does not
+   * link it, so a later dlclose would unmap libgomp while its parked
+   * worker threads still run its code (SIGSEGV on multi-core hosts).
+   * Take a never-dropped reference, only if the artifact loaded it. */
+  (void)dlopen("libgomp.so.1", RTLD_NOW | RTLD_NOLOAD | RTLD_NODELETE);
   CAMLreturn(caml_copy_nativeint((intnat)h));
 }
 

@@ -200,85 +200,83 @@ let fuse_fields (f : fuse_request) =
   let fields = if f.no_cache then ("no_cache", Jsonx.Bool true) :: fields else fields in
   ("strategy", Jsonx.Str (Driver.strategy_to_string f.strategy)) :: fields
 
-let request_to_json = function
-  | Stats -> Jsonx.Obj [ ("op", Jsonx.Str "stats") ]
-  | Metrics -> Jsonx.Obj [ ("op", Jsonx.Str "metrics") ]
-  | Ping -> Jsonx.Obj [ ("op", Jsonx.Str "ping") ]
-  | Shutdown -> Jsonx.Obj [ ("op", Jsonx.Str "shutdown") ]
-  | Fuse f -> Jsonx.Obj (("op", Jsonx.Str "fuse") :: fuse_fields f)
-  | Fuse_exec e ->
-    let opt name conv v fields =
-      match v with None -> fields | Some v -> (name, conv v) :: fields
-    in
-    let fields =
-      fuse_fields e.fuse
-      |> opt "exec_mode"
-           (fun m -> Jsonx.Str (Kfuse_exec.Native.mode_to_string m))
-           e.exec_mode
-      |> opt "width" (fun v -> Jsonx.Num (float_of_int v)) e.width
-      |> opt "height" (fun v -> Jsonx.Num (float_of_int v)) e.height
-    in
-    let fields = ("seed", Jsonx.Num (float_of_int e.seed)) :: fields in
-    let fields =
-      if e.repeat <> 1 then ("repeat", Jsonx.Num (float_of_int e.repeat)) :: fields
-      else fields
-    in
-    let fields = if e.verify then ("verify", Jsonx.Bool true) :: fields else fields in
-    let fields =
-      if e.return_pixels then ("return_pixels", Jsonx.Bool true) :: fields else fields
-    in
-    Jsonx.Obj (("op", Jsonx.Str "fuse_exec") :: fields)
-  | Stream_open o ->
-    let opt name conv v fields =
-      match v with None -> fields | Some v -> (name, conv v) :: fields
-    in
-    let fields =
-      fuse_fields o.fuse
-      |> opt "exec_mode"
-           (fun m -> Jsonx.Str (Kfuse_exec.Native.mode_to_string m))
-           o.exec_mode
-      |> opt "width" (fun v -> Jsonx.Num (float_of_int v)) o.width
-      |> opt "height" (fun v -> Jsonx.Num (float_of_int v)) o.height
-    in
-    let fields = ("seed", Jsonx.Num (float_of_int o.seed)) :: fields in
-    Jsonx.Obj (("op", Jsonx.Str "stream_open") :: fields)
-  | Stream_push s ->
-    let fields = [ ("id", Jsonx.Str s.id) ] in
-    let fields = if s.verify then ("verify", Jsonx.Bool true) :: fields else fields in
-    let fields =
-      if s.return_pixels then ("return_pixels", Jsonx.Bool true) :: fields else fields
-    in
-    Jsonx.Obj (("op", Jsonx.Str "stream_push") :: fields)
-  | Stream_close id -> Jsonx.Obj [ ("op", Jsonx.Str "stream_close"); ("id", Jsonx.Str id) ]
-  | Lazy_open o ->
-    let opt name conv v fields =
-      match v with None -> fields | Some v -> (name, conv v) :: fields
-    in
-    let num v = Jsonx.Num v in
-    let fields =
-      []
-      |> opt "tg" num o.tg
-      |> opt "gamma" num o.gamma
-      |> opt "c_mshared" num o.c_mshared
-      |> opt "channels" (fun v -> Jsonx.Num (float_of_int v)) o.channels
-      |> opt "height" (fun v -> Jsonx.Num (float_of_int v)) o.height
-      |> opt "width" (fun v -> Jsonx.Num (float_of_int v)) o.width
-      |> opt "source" (fun v -> Jsonx.Str v) o.source
-      |> opt "app" (fun v -> Jsonx.Str v) o.app
-    in
-    let fields =
+let op_name = function
+  | Fuse _ -> "fuse"
+  | Fuse_exec _ -> "fuse_exec"
+  | Stream_open _ -> "stream_open"
+  | Stream_push _ -> "stream_push"
+  | Stream_close _ -> "stream_close"
+  | Lazy_open _ -> "lazy_open"
+  | Lazy_edit _ -> "lazy_edit"
+  | Lazy_flush _ -> "lazy_flush"
+  | Lazy_close _ -> "lazy_close"
+  | Stats -> "stats"
+  | Metrics -> "metrics"
+  | Ping -> "ping"
+  | Shutdown -> "shutdown"
+
+let fusion_config ~c_mshared ~gamma ~tg =
+  let default = Kfuse_fusion.Config.default in
+  {
+    default with
+    Kfuse_fusion.Config.c_mshared =
+      Option.value ~default:default.Kfuse_fusion.Config.c_mshared c_mshared;
+    gamma = Option.value ~default:default.Kfuse_fusion.Config.gamma gamma;
+    tg = Option.value ~default:default.Kfuse_fusion.Config.tg tg;
+  }
+
+let request_to_json req =
+  let opt name conv v fields =
+    match v with None -> fields | Some v -> (name, conv v) :: fields
+  in
+  let int v = Jsonx.Num (float_of_int v) in
+  let flag name b fields = if b then (name, Jsonx.Bool true) :: fields else fields in
+  let exec_mode m = Jsonx.Str (Kfuse_exec.Native.mode_to_string m) in
+  let fields =
+    match req with
+    | Stats | Metrics | Ping | Shutdown -> []
+    | Fuse f -> fuse_fields f
+    | Fuse_exec e ->
+      let fields =
+        fuse_fields e.fuse
+        |> opt "exec_mode" exec_mode e.exec_mode
+        |> opt "width" int e.width
+        |> opt "height" int e.height
+      in
+      let fields = ("seed", int e.seed) :: fields in
+      let fields = if e.repeat <> 1 then ("repeat", int e.repeat) :: fields else fields in
+      fields |> flag "verify" e.verify |> flag "return_pixels" e.return_pixels
+    | Stream_open o ->
+      let fields =
+        fuse_fields o.fuse
+        |> opt "exec_mode" exec_mode o.exec_mode
+        |> opt "width" int o.width
+        |> opt "height" int o.height
+      in
+      ("seed", int o.seed) :: fields
+    | Stream_push s ->
+      [ ("id", Jsonx.Str s.id) ] |> flag "verify" s.verify
+      |> flag "return_pixels" s.return_pixels
+    | Stream_close id | Lazy_close id -> [ ("id", Jsonx.Str id) ]
+    | Lazy_open o ->
+      let num v = Jsonx.Num v in
+      let fields =
+        []
+        |> opt "tg" num o.tg
+        |> opt "gamma" num o.gamma
+        |> opt "c_mshared" num o.c_mshared
+        |> opt "channels" int o.channels
+        |> opt "height" int o.height
+        |> opt "width" int o.width
+        |> opt "source" (fun v -> Jsonx.Str v) o.source
+        |> opt "app" (fun v -> Jsonx.Str v) o.app
+      in
       if o.inputs = [] then fields
       else ("inputs", Jsonx.Arr (List.map (fun i -> Jsonx.Str i) o.inputs)) :: fields
-    in
-    Jsonx.Obj (("op", Jsonx.Str "lazy_open") :: fields)
-  | Lazy_edit e ->
-    Jsonx.Obj
-      [ ("op", Jsonx.Str "lazy_edit"); ("id", Jsonx.Str e.id); ("command", Jsonx.Str e.command) ]
-  | Lazy_flush f ->
-    let fields = [ ("id", Jsonx.Str f.id) ] in
-    let fields = if f.scratch then ("scratch", Jsonx.Bool true) :: fields else fields in
-    Jsonx.Obj (("op", Jsonx.Str "lazy_flush") :: fields)
-  | Lazy_close id -> Jsonx.Obj [ ("op", Jsonx.Str "lazy_close"); ("id", Jsonx.Str id) ]
+    | Lazy_edit e -> [ ("id", Jsonx.Str e.id); ("command", Jsonx.Str e.command) ]
+    | Lazy_flush f -> [ ("id", Jsonx.Str f.id) ] |> flag "scratch" f.scratch
+  in
+  Jsonx.Obj (("op", Jsonx.Str (op_name req)) :: fields)
 
 let proto_error fmt = Printf.ksprintf (fun m -> Error (Diag.v Diag.Protocol_error m)) fmt
 
@@ -491,6 +489,7 @@ let request_of_json v =
 (* ---- responses ---- *)
 
 let ok fields = Jsonx.Obj (("status", Jsonx.Str "ok") :: fields)
+let is_ok v = Jsonx.mem_str "status" v = Some "ok"
 
 let error (d : Diag.t) =
   Jsonx.Obj

@@ -202,6 +202,15 @@ type request =
 
 val request_to_json : request -> Jsonx.t
 
+(** [op_name r] is the wire ["op"] string of [r] — also the per-op key
+    of the server's request metrics. *)
+val op_name : request -> string
+
+(** [fusion_config ~c_mshared ~gamma ~tg] is {!Kfuse_fusion.Config.default}
+    with a request's optional model overrides applied. *)
+val fusion_config :
+  c_mshared:float option -> gamma:float option -> tg:float option -> Kfuse_fusion.Config.t
+
 (** [request_of_json v] validates shape and field types; unknown ops and
     malformed fields are {!Kfuse_util.Diag.Protocol_error}s. *)
 val request_of_json : Jsonx.t -> (request, Diag.t) result
@@ -210,6 +219,9 @@ val request_of_json : Jsonx.t -> (request, Diag.t) result
 
 (** [ok fields] is [{"status":"ok", ...fields}]. *)
 val ok : (string * Jsonx.t) list -> Jsonx.t
+
+(** [is_ok v] holds when response [v] has ["status"] ["ok"]. *)
+val is_ok : Jsonx.t -> bool
 
 (** [error d] renders a diagnostic as an error response. *)
 val error : Diag.t -> Jsonx.t

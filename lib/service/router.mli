@@ -26,13 +26,18 @@
       requests (same plan key + strict/budget knobs) are coalesced into
       one upstream plan search; followers share the leader's reply
       byte-for-byte and count into [requests_coalesced].
-    - {b Streams}: stream ids are prefixed with their shard
-      ([s<i>-<id>]) and pinned — temporal state lives in one process,
-      so a dead shard means "reopen the stream", not silent rebinding.
+    - {b Sessions}: stream and lazy-session ids are prefixed with their
+      shard ([s<i>-<id>]) and pinned — session state lives in one
+      process, so a dead shard means "reopen the session", not silent
+      rebinding.
     - {b Drain}: {!stop} (or {!signal_stop} from a signal handler)
       stops accepting, drains router workers, halts the monitor (so it
       stops respawning), then SIGTERMs the fleet in parallel with a
-      SIGKILL escalation, and finally sweeps the socket files. *)
+      SIGKILL escalation, and finally sweeps the socket files.
+
+    Accept, admission, workers, deadlines, the reply path and the
+    worker drain are the {!Frontend} kfused itself runs; the router
+    supplies its forwarding handler and the fleet steps of the drain. *)
 
 module Diag := Kfuse_util.Diag
 

@@ -16,46 +16,33 @@ module Frames = Kfuse_stream.Frames
 module Lz = Kfuse_lazy
 
 (* One open stream: the per-stream temporal state plus the pinned
-   compiled plan.  [in_flight] (under the server's [streams_lock]) is
-   the bounded per-session frame queue — pushes beyond [stream_queue]
-   are shed with [KF0805] before touching any state.  [s_lock]
-   serializes frame execution so the temporal window advances exactly
-   once per processed frame.  [closed] marks a stream removed from the
-   table while pushes are still draining; the last one out releases the
-   pinned plan. *)
+   compiled plan.  Its {!Session_table} entry bounds the in-flight
+   pushes ([stream_queue], [KF0805] beyond it) and releases the pinned
+   plan exactly once.  [s_lock] serializes frame execution so the
+   temporal window advances exactly once per processed frame. *)
 type stream = {
-  stream_id : string;
   session : Session.t;
   stream_seed : int;
   stream_fp : string;  (* exact fingerprint, the breaker's key *)
   stream_plan : Native.plan option;  (* None = interpreter-only stream *)
   s_lock : Mutex.t;
-  mutable seq_hint : int;  (* frames processed; informational *)
-  mutable last_used : float;
-  mutable in_flight : int;
-  mutable closed : bool;
 }
 
 (* One open lazy-pipeline editing session: a mutable builder plus its
    incremental replanning memos.  [lz_lock] serializes edits and flushes
-   (builders are not thread-safe).  Unlike streams, a lazy session pins
-   no native plan, so close and idle-expiry are pure table removals. *)
+   (builders are not thread-safe).  A lazy session pins no native plan,
+   so it needs no release hook. *)
 type lazy_session = {
-  lz_id : string;
   builder : Lz.Lazy_pipeline.t;
   lz_lock : Mutex.t;
-  mutable lz_last_used : float;
   mutable lz_flushes : int;
 }
 
 type t = {
-  socket_path : string;
-  listen_fd : Unix.file_descr;
+  fe : Frontend.t;
   cache : Plan_cache.t;
   pool : Pool.t;
   default_budget_ms : float option;
-  request_timeout_ms : float;  (* <= 0. disables deadlines and socket timeouts *)
-  drain_timeout_ms : float;
   metrics : Metrics.t;
   (* Native-execution safety net: how generated code is run
      ([exec_sandbox]), the rlimits applied to sandboxed children, where
@@ -66,52 +53,21 @@ type t = {
   crash_dir : string;
   breaker : Supervisor.Breaker.t;
   started_at : float;
-  stopping : bool Atomic.t;
-  (* Set by [signal_stop] — possibly from a signal handler, so it must
-     stay a bare atomic store: [wait]'s polling loop notices it and runs
-     the real stop work (locks, broadcast, accept poke) in a normal
-     thread context. *)
-  stop_requested : bool Atomic.t;
-  mutable accept_thread : Thread.t option;
-  mutable workers : Thread.t array;
-  max_conns : int;
-  queue_bound : int;
-  (* Admission state, all under [q_lock]: accepted connections wait in
-     [queue] until one of the [max_conns] workers picks them up.  [busy]
-     counts workers serving a connection; [active.(i)] is the fd worker
-     [i] is serving, so a forced drain can shut it down. *)
-  q_lock : Mutex.t;
-  q_cond : Condition.t;
-  queue : Unix.file_descr Queue.t;
-  mutable busy : int;
-  active : Unix.file_descr option array;
-  (* Stream sessions, under [streams_lock].  [max_streams] bounds open
-     sessions ([KF0803] beyond it), [stream_queue] bounds each session's
-     in-flight pushes ([KF0805] beyond it), [stream_idle_ms] is the lazy
-     idle-expiry horizon (<= 0 disables). *)
-  streams_lock : Mutex.t;
-  streams : (string, stream) Hashtbl.t;
-  next_stream : int Atomic.t;
+  (* Stream and lazy sessions.  Both tables are bounded by
+     [max_streams] ([KF0803] beyond it) and idle-expire after
+     [stream_idle_ms]; [stream_queue] bounds each stream's in-flight
+     pushes. *)
+  streams : stream Session_table.t;
+  lazies : lazy_session Session_table.t;
   max_streams : int;
   stream_queue : int;
   stream_idle_ms : float;
-  (* Lazy editing sessions, under [lazies_lock].  They share the
-     [max_streams] bound (each table bounded independently) and the
-     [stream_idle_ms] idle-expiry horizon. *)
-  lazies_lock : Mutex.t;
-  lazies : (string, lazy_session) Hashtbl.t;
-  next_lazy : int Atomic.t;
 }
 
-let socket t = t.socket_path
+let socket t = Frontend.socket t.fe
 let cache t = t.cache
 let metrics t = t.metrics
-
-let in_flight t =
-  Mutex.lock t.q_lock;
-  let n = t.busy + Queue.length t.queue in
-  Mutex.unlock t.q_lock;
-  n
+let in_flight t = Frontend.in_flight t.fe
 
 (* ---- request handling ---- *)
 
@@ -135,8 +91,16 @@ let load_pipeline ?size (f : Protocol.fuse_request) =
     else Kfuse_dsl.Elaborate.parse_pipeline_diag src
   | None, None -> Error (Diag.v Diag.Protocol_error "fuse without app or source")
 
-let validated p =
-  match Ir.Validate.result p with Ok p -> Ok p | Error d -> Error d
+let size_of width height =
+  match (width, height) with Some w, Some h -> Some (w, h) | _ -> None
+
+(* A session's reply, or its typed table error (unknown id, shed). *)
+let reply_of = function Ok resp -> resp | Error d -> Protocol.error d
+
+let native_cache_dir t =
+  Option.map (fun d -> Filename.concat d "native") (Plan_cache.dir t.cache)
+
+let validated = Ir.Validate.result
 
 let block_names (p : Ir.Pipeline.t) block =
   List.map (fun i -> Jsonx.Str (Ir.Pipeline.kernel p i).Ir.Kernel.name) (Iset.elements block)
@@ -163,14 +127,9 @@ let plan t ~deadline ?size (f : Protocol.fuse_request) =
   match Result.bind (load_pipeline ?size f) validated with
   | Error _ as e -> e
   | Ok p ->
-    let default = F.Config.default in
     let config =
-      {
-        default with
-        F.Config.c_mshared = Option.value ~default:default.F.Config.c_mshared f.Protocol.c_mshared;
-        gamma = Option.value ~default:default.F.Config.gamma f.Protocol.gamma;
-        tg = Option.value ~default:default.F.Config.tg f.Protocol.tg;
-      }
+      Protocol.fusion_config ~c_mshared:f.Protocol.c_mshared ~gamma:f.Protocol.gamma
+        ~tg:f.Protocol.tg
     in
     let strategy = f.Protocol.strategy in
     let optimize = f.Protocol.optimize and inline = f.Protocol.inline in
@@ -313,12 +272,7 @@ let is_supervised_failure (d : Diag.t) =
   | _ -> false
 
 let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
-  let size =
-    match (e.Protocol.width, e.Protocol.height) with
-    | Some w, Some h -> Some (w, h)
-    | _ -> None
-  in
-  match plan t ~deadline ?size e.Protocol.fuse with
+  match plan t ~deadline ?size:(size_of e.Protocol.width e.Protocol.height) e.Protocol.fuse with
   | Error d -> Protocol.error d
   | Ok ((r, _, _) as served) -> (
     let p = r.F.Driver.fused in
@@ -338,9 +292,7 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
         (Diag.errorf Diag.Request_timeout
            "request deadline expired after planning, before native execution")
     | () -> (
-      let cache_dir =
-        Option.map (fun d -> Filename.concat d "native") (Plan_cache.dir t.cache)
-      in
+      let cache_dir = native_cache_dir t in
       let fp = Fingerprint.exact p in
       let use_breaker = t.exec_sandbox <> Supervisor.Unsandboxed in
       let verdict =
@@ -431,69 +383,11 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
 
 (* ---- streams ---- *)
 
-let streams_active t =
-  Mutex.lock t.streams_lock;
-  let n = Hashtbl.length t.streams in
-  Mutex.unlock t.streams_lock;
-  n
-
-(* Exactly-once plan release: the transition to [closed && in_flight = 0]
-   is observed under [streams_lock] by exactly one thread — the closer
-   (or expirer) when no push is draining, else the last draining push. *)
-let stream_done t st =
-  Mutex.lock t.streams_lock;
-  st.in_flight <- st.in_flight - 1;
-  let release_now = st.closed && st.in_flight = 0 in
-  Mutex.unlock t.streams_lock;
-  if release_now then Option.iter Native.release st.stream_plan
-
-(* Lazy idle expiry, run from every stream/stats/metrics op: no reaper
-   thread to leak, and an idle daemon holds no pinned plans forever. *)
-let expire_idle_streams t =
-  if t.stream_idle_ms > 0.0 then begin
-    let now = Unix.gettimeofday () in
-    Mutex.lock t.streams_lock;
-    let doomed =
-      Hashtbl.fold
-        (fun id st acc ->
-          if st.in_flight = 0 && (now -. st.last_used) *. 1000.0 > t.stream_idle_ms then
-            (id, st) :: acc
-          else acc)
-        t.streams []
-    in
-    List.iter
-      (fun (id, st) ->
-        st.closed <- true;
-        Hashtbl.remove t.streams id)
-      doomed;
-    Mutex.unlock t.streams_lock;
-    List.iter
-      (fun (_, st) ->
-        Option.iter Native.release st.stream_plan;
-        Metrics.incr t.metrics "streams_expired";
-        Metrics.decr_gauge t.metrics "streams_active")
-      doomed
-  end
-
-(* Orderly shutdown: by the time this runs the workers are joined, so
-   every [in_flight] is 0 and every pinned plan can be dropped. *)
-let release_all_streams t =
-  Mutex.lock t.streams_lock;
-  let all = Hashtbl.fold (fun _ st acc -> st :: acc) t.streams [] in
-  List.iter (fun st -> st.closed <- true) all;
-  Hashtbl.reset t.streams;
-  Mutex.unlock t.streams_lock;
-  List.iter
-    (fun st ->
-      if st.in_flight = 0 then Option.iter Native.release st.stream_plan;
-      Metrics.decr_gauge t.metrics "streams_active")
-    all
-
 (* Pick and pin the native backend for a new stream under the server's
    sandbox policy.  [Ok (None, warns)] is an interpreter-only stream —
    the daemon stays useful on hosts without a C toolchain. *)
-let prepare_stream_plan t ~requested ~cache_dir p =
-  let prepare mode = Native.prepare ?cache_dir ~mode p in
+let prepare_stream_plan t ~requested p =
+  let prepare mode = Native.prepare ?cache_dir:(native_cache_dir t) ~mode p in
   let pinned =
     match t.exec_sandbox with
     | Supervisor.Sandboxed ->
@@ -524,13 +418,8 @@ let warnings_json warns =
   Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warns)
 
 let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
-  expire_idle_streams t;
-  let size =
-    match (o.Protocol.width, o.Protocol.height) with
-    | Some w, Some h -> Some (w, h)
-    | _ -> None
-  in
-  match plan t ~deadline ?size o.Protocol.fuse with
+  Session_table.expire_idle t.streams;
+  match plan t ~deadline ?size:(size_of o.Protocol.width o.Protocol.height) o.Protocol.fuse with
   | Error d -> Protocol.error d
   | Ok ((r, _, _) as served) -> (
     let p = r.F.Driver.fused in
@@ -543,295 +432,200 @@ let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
         Protocol.error
           (Diag.errorf Diag.Request_timeout
              "request deadline expired after planning, before the stream compile")
-      | () ->
-        if streams_active t >= t.max_streams then begin
-          Metrics.incr t.metrics "streams_shed";
-          Protocol.error
-            (Diag.errorf Diag.Overloaded
-               "server at --max-streams (%d): close a stream or retry with backoff"
-               t.max_streams)
-        end
-        else begin
-          let cache_dir =
-            Option.map (fun d -> Filename.concat d "native") (Plan_cache.dir t.cache)
+      | () -> (
+        let warns = ref [] in
+        let opened =
+          Session_table.open_ t.streams (fun () ->
+              prepare_stream_plan t ~requested:o.Protocol.exec_mode p
+              |> Result.map (fun (plan_opt, w) ->
+                     warns := w;
+                     {
+                       session;
+                       stream_seed = o.Protocol.seed;
+                       stream_fp = Fingerprint.exact p;
+                       stream_plan = plan_opt;
+                       s_lock = Mutex.create ();
+                     }))
+        in
+        match opened with
+        | Error d -> Protocol.error d
+        | Ok entry ->
+          let st = Session_table.value entry in
+          let mode, artifact, cached, compile_ms =
+            match st.stream_plan with
+            | None -> ("interpreter", "", false, 0.0)
+            | Some pl ->
+              ( Native.mode_to_string (Native.plan_mode pl),
+                Native.plan_artifact pl,
+                Native.plan_cached pl,
+                Native.plan_compile_ms pl )
           in
-          match prepare_stream_plan t ~requested:o.Protocol.exec_mode ~cache_dir p with
-          | Error d -> Protocol.error d
-          | Ok (plan_opt, warns) ->
-            let id = Printf.sprintf "st-%d" (Atomic.fetch_and_add t.next_stream 1) in
-            let st =
-              {
-                stream_id = id;
-                session;
-                stream_seed = o.Protocol.seed;
-                stream_fp = Fingerprint.exact p;
-                stream_plan = plan_opt;
-                s_lock = Mutex.create ();
-                seq_hint = 0;
-                last_used = Unix.gettimeofday ();
-                in_flight = 0;
-                closed = false;
-              }
-            in
-            Mutex.lock t.streams_lock;
-            Hashtbl.replace t.streams id st;
-            Mutex.unlock t.streams_lock;
-            Metrics.incr t.metrics "streams_opened";
-            Metrics.incr_gauge t.metrics "streams_active";
-            let mode, artifact, cached, compile_ms =
-              match plan_opt with
-              | None -> ("interpreter", "", false, 0.0)
-              | Some pl ->
-                ( Native.mode_to_string (Native.plan_mode pl),
-                  Native.plan_artifact pl,
-                  Native.plan_cached pl,
-                  Native.plan_compile_ms pl )
-            in
-            Protocol.ok
-              (plan_fields served
-              @ [
-                  ("id", Jsonx.Str id);
-                  ( "depth",
-                    Jsonx.Num (float_of_int (Session.depth session)) );
-                  ("width", Jsonx.Num (float_of_int p.Ir.Pipeline.width));
-                  ("height", Jsonx.Num (float_of_int p.Ir.Pipeline.height));
-                  ("seed", Jsonx.Num (float_of_int o.Protocol.seed));
-                  ( "exec",
-                    Jsonx.Obj
-                      [
-                        ("mode", Jsonx.Str mode);
-                        ( "sandboxed",
-                          Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed) );
-                        ("artifact", Jsonx.Str artifact);
-                        ("artifact_cached", Jsonx.Bool cached);
-                        ("compile_ms", Jsonx.Num compile_ms);
-                        ("warnings", warnings_json warns);
-                      ] );
-                ])
-        end))
-
-let unknown_stream id =
-  Protocol.error
-    (Diag.errorf Diag.Stream_unknown
-       "unknown stream %S (never opened, already closed, or idle-expired)" id)
+          Protocol.ok
+            (plan_fields served
+            @ [
+                ("id", Jsonx.Str (Session_table.id entry));
+                ("depth", Jsonx.Num (float_of_int (Session.depth session)));
+                ("width", Jsonx.Num (float_of_int p.Ir.Pipeline.width));
+                ("height", Jsonx.Num (float_of_int p.Ir.Pipeline.height));
+                ("seed", Jsonx.Num (float_of_int o.Protocol.seed));
+                ( "exec",
+                  Jsonx.Obj
+                    [
+                      ("mode", Jsonx.Str mode);
+                      ("sandboxed", Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed));
+                      ("artifact", Jsonx.Str artifact);
+                      ("artifact_cached", Jsonx.Bool cached);
+                      ("compile_ms", Jsonx.Num compile_ms);
+                      ("warnings", warnings_json !warns);
+                    ] );
+              ]))))
 
 let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
-  expire_idle_streams t;
+  Session_table.expire_idle t.streams;
   let forced_shed =
     match Faults.hit "stream.shed" with
     | () -> false
     | exception Faults.Fault _ -> true
   in
-  Mutex.lock t.streams_lock;
-  let admitted =
-    match Hashtbl.find_opt t.streams s.Protocol.id with
-    | None ->
-      Mutex.unlock t.streams_lock;
-      Error (unknown_stream s.Protocol.id)
-    | Some st ->
-      if forced_shed || st.in_flight >= t.stream_queue then begin
-        Mutex.unlock t.streams_lock;
-        (* Shed BEFORE touching temporal state: the frame was not
-           processed and the stream did not advance, so the client can
-           retry the push verbatim. *)
-        Metrics.incr t.metrics "frames_shed";
-        Error
-          (Protocol.error
-             (Diag.errorf Diag.Stream_backpressure
-                "stream %S frame queue full (%d in flight of %d): frame dropped, retry \
-                 with backoff"
-                s.Protocol.id st.in_flight t.stream_queue))
-      end
-      else begin
-        st.in_flight <- st.in_flight + 1;
-        Mutex.unlock t.streams_lock;
-        Ok st
-      end
-  in
-  match admitted with
-  | Error resp -> resp
-  | Ok st ->
-    Fun.protect ~finally:(fun () -> stream_done t st) @@ fun () ->
-    Mutex.lock st.s_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock st.s_lock) @@ fun () ->
-    if st.closed then unknown_stream s.Protocol.id
-    else begin
-      st.last_used <- Unix.gettimeofday ();
-      let session = st.session in
-      let p = Session.pipeline session in
-      let params = Session.params session in
-      let seq = Session.frames session in
-      let frame =
-        Frames.synthetic ~seed:st.stream_seed ~width:p.Ir.Pipeline.width
-          ~height:p.Ir.Pipeline.height ~index:seq
-      in
-      let bindings = Session.bindings session frame in
-      let interp () =
-        let t0 = Unix.gettimeofday () in
-        let outs = Ir.Eval.run_outputs ~params p (Ir.Eval.env_of_list bindings) in
-        (outs, (Unix.gettimeofday () -. t0) *. 1000.)
-      in
-      let use_breaker = t.exec_sandbox <> Supervisor.Unsandboxed in
-      let verdict =
-        match st.stream_plan with
-        | None -> Supervisor.Breaker.Allow
-        | Some _ ->
-          if use_breaker then Supervisor.Breaker.check t.breaker st.stream_fp
-          else Supervisor.Breaker.Allow
-      in
-      (* (outputs, mode, quarantined, fallback, exec_ms, warnings,
-         max_abs_diff when verify). *)
-      let outputs, mode, quarantined, fallback, exec_ms, warns, diff =
-        match (verdict, st.stream_plan) with
-        | _, None ->
-          let outs, ms = interp () in
-          (outs, "interpreter", false, false, ms, [], Some 0.0)
-        | Supervisor.Breaker.Quarantined qd, Some _ ->
-          Metrics.incr t.metrics "native_exec_fallbacks";
-          let warning =
-            Diag.warningf Diag.Exec_failed
-              "plan quarantined after %d consecutive native failures (last: %s); frame \
-               served by the interpreter"
-              (Supervisor.Breaker.threshold t.breaker)
-              (Diag.to_string qd)
-          in
-          let outs, ms = interp () in
-          (outs, "interpreter", true, true, ms, [ warning ], Some 0.0)
-        | (Supervisor.Breaker.Allow | Supervisor.Breaker.Probe), Some pl -> (
-          match
-            Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings
-          with
-          | Ok res ->
-            if use_breaker && Supervisor.Breaker.record_success t.breaker st.stream_fp
-            then Metrics.decr_gauge t.metrics "quarantined_plans";
-            let diff =
-              if not s.Protocol.verify then None
-              else begin
-                let reference, _ = interp () in
-                Some
-                  (List.fold_left2
-                     (fun acc (_, want) (_, got) ->
-                       Float.max acc (Image.max_abs_diff want got))
-                     0.0 reference res.Native.outputs)
-              end
-            in
-            ( res.Native.outputs,
-              Native.mode_to_string res.Native.mode_used,
-              false, false, res.Native.exec_ms, [], diff )
-          | Error d ->
-            (* The frame still ships: fall back to the interpreter on
-               the SAME bindings, then advance — the stream's pixel
-               history is identical to an all-interpreter run, which is
-               exactly what the chaos oracle asserts. *)
-            if is_supervised_failure d then
-              record_exec_failure t ~use_breaker ~fp:st.stream_fp ~seed:st.stream_seed p d;
-            Metrics.incr t.metrics "native_exec_fallbacks";
-            let outs, ms = interp () in
-            (outs, "interpreter", false, true, ms,
-             [ { d with Diag.severity = Diag.Warning } ], Some 0.0)
-        )
-      in
-      Session.advance session frame;
-      st.seq_hint <- seq + 1;
-      st.last_used <- Unix.gettimeofday ();
-      Metrics.incr t.metrics "frames_pushed";
-      Protocol.ok
-        ([
-           ("id", Jsonx.Str st.stream_id);
-           ("seq", Jsonx.Num (float_of_int seq));
-           ("frames", Jsonx.Num (float_of_int (seq + 1)));
-           ( "exec",
-             Jsonx.Obj
-               [
-                 ("mode", Jsonx.Str mode);
-                 ("sandboxed", Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed));
-                 ("quarantined", Jsonx.Bool quarantined);
-                 ("fallback", Jsonx.Bool fallback);
-                 ("exec_ms", Jsonx.Num exec_ms);
-                 ("warnings", warnings_json warns);
-               ] );
-           ( "outputs",
-             Jsonx.Arr
-               (List.map (output_json ~return_pixels:s.Protocol.return_pixels) outputs)
-           );
-         ]
-        @ match diff with
-          | Some d when s.Protocol.verify -> [ ("max_abs_diff", Jsonx.Num d) ]
-          | _ -> [])
+  (* Shed BEFORE touching temporal state: the frame was not processed
+     and the stream did not advance, so the client can retry the push
+     verbatim. *)
+  let refuse ~in_flight =
+    if forced_shed || in_flight >= t.stream_queue then begin
+      Metrics.incr t.metrics "frames_shed";
+      Some
+        (Diag.errorf Diag.Stream_backpressure
+           "stream %S frame queue full (%d in flight of %d): frame dropped, retry with \
+            backoff"
+           s.Protocol.id in_flight t.stream_queue)
     end
-
-let handle_stream_close t id =
-  expire_idle_streams t;
-  Mutex.lock t.streams_lock;
-  match Hashtbl.find_opt t.streams id with
-  | None ->
-    Mutex.unlock t.streams_lock;
-    unknown_stream id
-  | Some st ->
-    Hashtbl.remove t.streams id;
-    st.closed <- true;
-    let release_now = st.in_flight = 0 in
-    Mutex.unlock t.streams_lock;
-    (* Wait for a draining push before reading the frame count; the
-       plan itself is released by the last push out ([stream_done]). *)
-    Mutex.lock st.s_lock;
-    let frames = Session.frames st.session in
-    Mutex.unlock st.s_lock;
-    if release_now then Option.iter Native.release st.stream_plan;
-    Metrics.incr t.metrics "streams_closed";
-    Metrics.decr_gauge t.metrics "streams_active";
-    Protocol.ok
-      [ ("id", Jsonx.Str id); ("frames", Jsonx.Num (float_of_int frames)) ]
-
-(* ---- lazy sessions ---- *)
-
-let lazies_active t =
-  Mutex.lock t.lazies_lock;
-  let n = Hashtbl.length t.lazies in
-  Mutex.unlock t.lazies_lock;
-  n
-
-(* Same lazy expiry discipline as streams: no reaper thread, run from
-   every lazy/stats op.  Nothing to release — builders are plain heap. *)
-let expire_idle_lazies t =
-  if t.stream_idle_ms > 0.0 then begin
-    let now = Unix.gettimeofday () in
-    Mutex.lock t.lazies_lock;
-    let doomed =
-      Hashtbl.fold
-        (fun id lz acc ->
-          if (now -. lz.lz_last_used) *. 1000.0 > t.stream_idle_ms then (id, lz) :: acc
-          else acc)
-        t.lazies []
+    else None
+  in
+  reply_of
+  @@ Session_table.with_session ~refuse t.streams s.Protocol.id
+  @@ fun entry ->
+  let st = Session_table.value entry in
+  Mutex.lock st.s_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock st.s_lock) @@ fun () ->
+  if Session_table.is_closed t.streams entry then
+    Protocol.error (Session_table.unknown t.streams s.Protocol.id)
+  else begin
+    let session = st.session in
+    let p = Session.pipeline session in
+    let params = Session.params session in
+    let seq = Session.frames session in
+    let frame =
+      Frames.synthetic ~seed:st.stream_seed ~width:p.Ir.Pipeline.width
+        ~height:p.Ir.Pipeline.height ~index:seq
     in
-    List.iter (fun (id, _) -> Hashtbl.remove t.lazies id) doomed;
-    Mutex.unlock t.lazies_lock;
-    List.iter
-      (fun _ ->
-        Metrics.incr t.metrics "lazy_expired";
-        Metrics.decr_gauge t.metrics "lazy_active")
-      doomed
+    let bindings = Session.bindings session frame in
+    let interp () =
+      let t0 = Unix.gettimeofday () in
+      let outs = Ir.Eval.run_outputs ~params p (Ir.Eval.env_of_list bindings) in
+      (outs, (Unix.gettimeofday () -. t0) *. 1000.)
+    in
+    let use_breaker = t.exec_sandbox <> Supervisor.Unsandboxed in
+    let verdict =
+      match st.stream_plan with
+      | None -> Supervisor.Breaker.Allow
+      | Some _ ->
+        if use_breaker then Supervisor.Breaker.check t.breaker st.stream_fp
+        else Supervisor.Breaker.Allow
+    in
+    (* (outputs, mode, quarantined, fallback, exec_ms, warnings,
+       max_abs_diff when verify). *)
+    let outputs, mode, quarantined, fallback, exec_ms, warns, diff =
+      match (verdict, st.stream_plan) with
+      | _, None ->
+        let outs, ms = interp () in
+        (outs, "interpreter", false, false, ms, [], Some 0.0)
+      | Supervisor.Breaker.Quarantined qd, Some _ ->
+        Metrics.incr t.metrics "native_exec_fallbacks";
+        let warning =
+          Diag.warningf Diag.Exec_failed
+            "plan quarantined after %d consecutive native failures (last: %s); frame \
+             served by the interpreter"
+            (Supervisor.Breaker.threshold t.breaker)
+            (Diag.to_string qd)
+        in
+        let outs, ms = interp () in
+        (outs, "interpreter", true, true, ms, [ warning ], Some 0.0)
+      | (Supervisor.Breaker.Allow | Supervisor.Breaker.Probe), Some pl -> (
+        match
+          Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings
+        with
+        | Ok res ->
+          if use_breaker && Supervisor.Breaker.record_success t.breaker st.stream_fp
+          then Metrics.decr_gauge t.metrics "quarantined_plans";
+          let diff =
+            if not s.Protocol.verify then None
+            else begin
+              let reference, _ = interp () in
+              Some
+                (List.fold_left2
+                   (fun acc (_, want) (_, got) ->
+                     Float.max acc (Image.max_abs_diff want got))
+                   0.0 reference res.Native.outputs)
+            end
+          in
+          ( res.Native.outputs,
+            Native.mode_to_string res.Native.mode_used,
+            false, false, res.Native.exec_ms, [], diff )
+        | Error d ->
+          (* The frame still ships: fall back to the interpreter on
+             the SAME bindings, then advance — the stream's pixel
+             history is identical to an all-interpreter run, which is
+             exactly what the chaos oracle asserts. *)
+          if is_supervised_failure d then
+            record_exec_failure t ~use_breaker ~fp:st.stream_fp ~seed:st.stream_seed p d;
+          Metrics.incr t.metrics "native_exec_fallbacks";
+          let outs, ms = interp () in
+          (outs, "interpreter", false, true, ms,
+           [ { d with Diag.severity = Diag.Warning } ], Some 0.0)
+      )
+    in
+    Session.advance session frame;
+    Metrics.incr t.metrics "frames_pushed";
+    Protocol.ok
+      ([
+         ("id", Jsonx.Str (Session_table.id entry));
+         ("seq", Jsonx.Num (float_of_int seq));
+         ("frames", Jsonx.Num (float_of_int (seq + 1)));
+         ( "exec",
+           Jsonx.Obj
+             [
+               ("mode", Jsonx.Str mode);
+               ("sandboxed", Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed));
+               ("quarantined", Jsonx.Bool quarantined);
+               ("fallback", Jsonx.Bool fallback);
+               ("exec_ms", Jsonx.Num exec_ms);
+               ("warnings", warnings_json warns);
+             ] );
+         ( "outputs",
+           Jsonx.Arr
+             (List.map (output_json ~return_pixels:s.Protocol.return_pixels) outputs)
+         );
+       ]
+      @ match diff with
+        | Some d when s.Protocol.verify -> [ ("max_abs_diff", Jsonx.Num d) ]
+        | _ -> [])
   end
 
-let release_all_lazies t =
-  Mutex.lock t.lazies_lock;
-  let n = Hashtbl.length t.lazies in
-  Hashtbl.reset t.lazies;
-  Mutex.unlock t.lazies_lock;
-  for _ = 1 to n do
-    Metrics.decr_gauge t.metrics "lazy_active"
-  done
+let handle_stream_close t id =
+  Session_table.expire_idle t.streams;
+  reply_of
+  @@ Result.map
+       (fun entry ->
+         (* Wait for a draining push before reading the frame count; the
+            table releases the plan once the last push is out. *)
+         let st = Session_table.value entry in
+         Mutex.lock st.s_lock;
+         let frames = Session.frames st.session in
+         Mutex.unlock st.s_lock;
+         Protocol.ok [ ("id", Jsonx.Str id); ("frames", Jsonx.Num (float_of_int frames)) ])
+       (Session_table.close t.streams id)
 
-let find_lazy t id =
-  Mutex.lock t.lazies_lock;
-  let r = Hashtbl.find_opt t.lazies id in
-  Mutex.unlock t.lazies_lock;
-  r
-
-let unknown_lazy id =
-  Protocol.error
-    (Diag.errorf Diag.Stream_unknown
-       "unknown lazy session %S (never opened, already closed, or idle-expired)" id)
+(* ---- lazy sessions ---- *)
 
 let lazy_state_fields builder =
   [
@@ -859,16 +653,10 @@ let valid_ident s =
        s
 
 let handle_lazy_open t (o : Protocol.lazy_open_request) =
-  expire_idle_lazies t;
-  let default = F.Config.default in
+  Session_table.expire_idle t.lazies;
   let config =
-    {
-      default with
-      F.Config.c_mshared =
-        Option.value ~default:default.F.Config.c_mshared o.Protocol.c_mshared;
-      gamma = Option.value ~default:default.F.Config.gamma o.Protocol.gamma;
-      tg = Option.value ~default:default.F.Config.tg o.Protocol.tg;
-    }
+    Protocol.fusion_config ~c_mshared:o.Protocol.c_mshared ~gamma:o.Protocol.gamma
+      ~tg:o.Protocol.tg
   in
   match F.Config.validate_result config with
   | Error d -> Protocol.error d
@@ -912,65 +700,47 @@ let handle_lazy_open t (o : Protocol.lazy_open_request) =
             no_cache = false;
           }
         in
-        let size =
-          match (o.Protocol.width, o.Protocol.height) with
-          | Some w, Some h -> Some (w, h)
-          | _ -> None
-        in
+        let size = size_of o.Protocol.width o.Protocol.height in
         match Result.bind (load_pipeline ?size fr) validated with
         | Error _ as e -> e
         | Ok p -> Ok (Lz.Lazy_pipeline.of_pipeline config p))
     in
-    match seeded with
+    let opened =
+      Result.bind seeded (fun builder ->
+          Session_table.open_ t.lazies (fun () ->
+              Ok { builder; lz_lock = Mutex.create (); lz_flushes = 0 }))
+    in
+    match opened with
     | Error d -> Protocol.error d
-    | Ok builder ->
-      if lazies_active t >= t.max_streams then begin
-        Metrics.incr t.metrics "lazy_shed";
-        Protocol.error
-          (Diag.errorf Diag.Overloaded
-             "server at --max-streams (%d) lazy sessions: close one or retry with backoff"
-             t.max_streams)
-      end
-      else begin
-        let id = Printf.sprintf "lz-%d" (Atomic.fetch_and_add t.next_lazy 1) in
-        let lz =
-          {
-            lz_id = id;
-            builder;
-            lz_lock = Mutex.create ();
-            lz_last_used = Unix.gettimeofday ();
-            lz_flushes = 0;
-          }
-        in
-        Mutex.lock t.lazies_lock;
-        Hashtbl.replace t.lazies id lz;
-        Mutex.unlock t.lazies_lock;
-        Metrics.incr t.metrics "lazy_opened";
-        Metrics.incr_gauge t.metrics "lazy_active";
-        Protocol.ok (("id", Jsonx.Str id) :: lazy_state_fields builder)
-      end)
+    | Ok entry ->
+      Protocol.ok
+        (("id", Jsonx.Str (Session_table.id entry))
+        :: lazy_state_fields (Session_table.value entry).builder))
+
+(* Run [f] on lazy session [id] under its lock, holding it in the table
+   so idle expiry cannot reap it mid-operation. *)
+let with_lazy t id f =
+  Session_table.expire_idle t.lazies;
+  reply_of
+  @@ Session_table.with_session t.lazies id
+  @@ fun entry ->
+  let lz = Session_table.value entry in
+  Mutex.lock lz.lz_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock lz.lz_lock) (fun () -> f lz)
 
 let handle_lazy_edit t (e : Protocol.lazy_edit_request) =
-  expire_idle_lazies t;
-  match find_lazy t e.Protocol.id with
-  | None -> unknown_lazy e.Protocol.id
-  | Some lz -> (
-    Mutex.lock lz.lz_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lz.lz_lock) @@ fun () ->
-    lz.lz_last_used <- Unix.gettimeofday ();
-    let applied =
-      Result.bind
-        (Lz.Command.parse lz.builder e.Protocol.command)
-        (Lz.Command.apply lz.builder)
-    in
-    match applied with
-    | Error d -> Protocol.error d
-    | Ok description ->
-      Metrics.incr t.metrics "lazy_edits";
-      Protocol.ok
-        (("id", Jsonx.Str lz.lz_id)
-        :: ("applied", Jsonx.Str description)
-        :: lazy_state_fields lz.builder))
+  with_lazy t e.Protocol.id @@ fun lz ->
+  let applied =
+    Result.bind (Lz.Command.parse lz.builder e.Protocol.command) (Lz.Command.apply lz.builder)
+  in
+  match applied with
+  | Error d -> Protocol.error d
+  | Ok description ->
+    Metrics.incr t.metrics "lazy_edits";
+    Protocol.ok
+      (("id", Jsonx.Str e.Protocol.id)
+      :: ("applied", Jsonx.Str description)
+      :: lazy_state_fields lz.builder)
 
 let lazy_plan_fields ~id ~scratch ~replan_ms (pl : Lz.Replan.plan) =
   let s = pl.Lz.Replan.stats in
@@ -1000,46 +770,35 @@ let lazy_plan_fields ~id ~scratch ~replan_ms (pl : Lz.Replan.plan) =
   ]
 
 let handle_lazy_flush t (f : Protocol.lazy_flush_request) =
-  expire_idle_lazies t;
-  match find_lazy t f.Protocol.id with
-  | None -> unknown_lazy f.Protocol.id
-  | Some lz -> (
-    Mutex.lock lz.lz_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lz.lz_lock) @@ fun () ->
-    lz.lz_last_used <- Unix.gettimeofday ();
-    let t0 = Unix.gettimeofday () in
-    let planned =
-      if f.Protocol.scratch then Lz.Lazy_pipeline.flush_scratch ~pool:t.pool lz.builder
-      else Lz.Lazy_pipeline.flush ~pool:t.pool lz.builder
-    in
-    match planned with
-    | Error d -> Protocol.error d
-    | Ok plan ->
-      lz.lz_flushes <- lz.lz_flushes + 1;
-      Metrics.incr t.metrics "lazy_flushes";
-      Protocol.ok
-        (lazy_plan_fields ~id:lz.lz_id ~scratch:f.Protocol.scratch
-           ~replan_ms:((Unix.gettimeofday () -. t0) *. 1000.)
-           plan))
+  with_lazy t f.Protocol.id @@ fun lz ->
+  let t0 = Unix.gettimeofday () in
+  let planned =
+    if f.Protocol.scratch then Lz.Lazy_pipeline.flush_scratch ~pool:t.pool lz.builder
+    else Lz.Lazy_pipeline.flush ~pool:t.pool lz.builder
+  in
+  match planned with
+  | Error d -> Protocol.error d
+  | Ok plan ->
+    lz.lz_flushes <- lz.lz_flushes + 1;
+    Metrics.incr t.metrics "lazy_flushes";
+    Protocol.ok
+      (lazy_plan_fields ~id:f.Protocol.id ~scratch:f.Protocol.scratch
+         ~replan_ms:((Unix.gettimeofday () -. t0) *. 1000.)
+         plan)
 
 let handle_lazy_close t id =
-  expire_idle_lazies t;
-  Mutex.lock t.lazies_lock;
-  match Hashtbl.find_opt t.lazies id with
-  | None ->
-    Mutex.unlock t.lazies_lock;
-    unknown_lazy id
-  | Some lz ->
-    Hashtbl.remove t.lazies id;
-    Mutex.unlock t.lazies_lock;
-    Metrics.incr t.metrics "lazy_closed";
-    Metrics.decr_gauge t.metrics "lazy_active";
-    Protocol.ok
-      [ ("id", Jsonx.Str id); ("flushes", Jsonx.Num (float_of_int lz.lz_flushes)) ]
+  Session_table.expire_idle t.lazies;
+  reply_of
+  @@ Result.map
+       (fun entry ->
+         let flushes = (Session_table.value entry).lz_flushes in
+         Protocol.ok [ ("id", Jsonx.Str id); ("flushes", Jsonx.Num (float_of_int flushes)) ])
+       (Session_table.close t.lazies id)
 
 let stats_json t =
-  expire_idle_streams t;
-  expire_idle_lazies t;
+  Session_table.expire_idle t.streams;
+  Session_table.expire_idle t.lazies;
+  let limits = Frontend.limits t.fe in
   let c = Plan_cache.stats t.cache in
   let latency_json op =
     match Metrics.latency t.metrics op with
@@ -1098,10 +857,10 @@ let stats_json t =
       ( "limits",
         Jsonx.Obj
           [
-            ("max_conns", Jsonx.Num (float_of_int t.max_conns));
-            ("queue", Jsonx.Num (float_of_int t.queue_bound));
-            ("request_timeout_ms", Jsonx.Num t.request_timeout_ms);
-            ("drain_timeout_ms", Jsonx.Num t.drain_timeout_ms);
+            ("max_conns", Jsonx.Num (float_of_int limits.Frontend.max_conns));
+            ("queue", Jsonx.Num (float_of_int limits.Frontend.queue));
+            ("request_timeout_ms", Jsonx.Num limits.Frontend.request_timeout_ms);
+            ("drain_timeout_ms", Jsonx.Num limits.Frontend.drain_timeout_ms);
           ] );
       ( "native_exec",
         Jsonx.Obj
@@ -1144,290 +903,30 @@ let stats_json t =
           ] );
     ]
 
-(* [dispatch] never raises: a failing handler becomes an error response
-   (counted per-op), keeping the connection and the server alive. *)
-let dispatch t ~deadline v =
-  match Protocol.request_of_json v with
-  | Error d -> ("invalid", Protocol.error d, false)
-  | Ok req -> (
-    let op =
-      match req with
-      | Protocol.Fuse _ -> "fuse"
-      | Protocol.Fuse_exec _ -> "fuse_exec"
-      | Protocol.Stream_open _ -> "stream_open"
-      | Protocol.Stream_push _ -> "stream_push"
-      | Protocol.Stream_close _ -> "stream_close"
-      | Protocol.Lazy_open _ -> "lazy_open"
-      | Protocol.Lazy_edit _ -> "lazy_edit"
-      | Protocol.Lazy_flush _ -> "lazy_flush"
-      | Protocol.Lazy_close _ -> "lazy_close"
-      | Protocol.Stats -> "stats"
-      | Protocol.Metrics -> "metrics"
-      | Protocol.Ping -> "ping"
-      | Protocol.Shutdown -> "shutdown"
+let handle t ~deadline = function
+  | Protocol.Stats -> stats_json t
+  | Protocol.Metrics ->
+    let text =
+      Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
+        ~uptime_s:(Unix.gettimeofday () -. t.started_at)
     in
-    match req with
-    | Protocol.Ping -> (op, Protocol.ok [ ("pong", Jsonx.Bool true) ], false)
-    | Protocol.Shutdown -> (op, Protocol.ok [ ("stopping", Jsonx.Bool true) ], true)
-    | Protocol.Stats -> (op, stats_json t, false)
-    | Protocol.Metrics ->
-      let text =
-        Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
-          ~uptime_s:(Unix.gettimeofday () -. t.started_at)
-      in
-      (op, Protocol.ok [ ("text", Jsonx.Str text) ], false)
-    | Protocol.Fuse f -> (
-      match handle_fuse t ~deadline f with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Fuse_exec e -> (
-      match handle_fuse_exec t ~deadline e with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Stream_open o -> (
-      match handle_stream_open t ~deadline o with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Stream_push s -> (
-      match handle_stream_push t ~deadline s with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Stream_close id -> (
-      match handle_stream_close t id with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Lazy_open o -> (
-      match handle_lazy_open t o with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Lazy_edit e -> (
-      match handle_lazy_edit t e with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Lazy_flush f -> (
-      match handle_lazy_flush t f with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false))
-    | Protocol.Lazy_close id -> (
-      match handle_lazy_close t id with
-      | resp -> (op, resp, false)
-      | exception ((Out_of_memory | Stack_overflow) as ex) -> raise ex
-      | exception exn -> (op, Protocol.error (Diag.of_exn exn), false)))
-
-let is_ok resp = match Jsonx.mem_str "status" resp with Some "ok" -> true | _ -> false
-
-let initiate_stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    (* Wake idle workers so they drain the queue and exit. *)
-    Mutex.lock t.q_lock;
-    Condition.broadcast t.q_cond;
-    Mutex.unlock t.q_lock;
-    (* Wake the accept loop: on Linux, closing a listener from another
-       thread does not interrupt a blocked accept(2), so poke it with a
-       throwaway connection.  The loop rechecks [stopping] after every
-       accept and owns closing the listener. *)
-    match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd ->
-      (try Unix.connect fd (Unix.ADDR_UNIX t.socket_path) with Unix.Unix_error _ -> ());
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-  end
-
-let signal_stop t = Atomic.set t.stop_requested true
-
-let request_deadline t =
-  if t.request_timeout_ms > 0.0 then Deadline.after_ms t.request_timeout_ms
-  else Deadline.none
-
-(* One reply, chaos points included.  Returns [true] when the connection
-   is still good for another request; every failure mode frees the slot
-   rather than wedging it. *)
-let send_reply t fd ~deadline resp =
-  match Faults.hit "proto.drop_reply" with
-  | exception Faults.Fault _ ->
-    (* Chaos: the reply vanishes and the connection drops; the client
-       must time out or see a clean close. *)
-    false
-  | () -> (
-    (match Faults.hit "proto.slow_write" with
-    | () -> ()
-    | exception Faults.Fault _ -> Thread.delay 0.05);
-    match Faults.hit "proto.torn_frame" with
-    | exception Faults.Fault _ ->
-      (* Chaos: half a frame, then the connection drops; the client must
-         surface a typed mid-frame error. *)
-      (try Protocol.send_torn fd resp with _ -> ());
-      false
-    | () -> (
-      match Protocol.send ~deadline fd resp with
-      | () -> true
-      | exception Deadline.Expired _ ->
-        Metrics.incr t.metrics "requests_timed_out";
-        false
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Metrics.incr t.metrics "requests_timed_out";
-        false
-      | exception Diag.Fatal d ->
-        (* The response overran [max_frame]; nothing was written, so the
-           slot is still good: answer with the typed error instead. *)
-        (match Protocol.send ~deadline fd (Protocol.error d) with
-        | () -> true
-        | exception _ -> false)
-      | exception _ -> false))
-
-let handle_conn t fd =
-  let rec loop () =
-    match Protocol.recv fd with
-    | Ok None -> ()
-    | Error d when d.Diag.code = Diag.Request_timeout ->
-      (* A slow-loris (or idle) peer ran out the receive timeout: free
-         the slot with a typed reply if the pipe still works. *)
-      Metrics.incr t.metrics "requests_timed_out";
-      (try Protocol.send fd (Protocol.error d) with _ -> ())
-    | Error d ->
-      (* Framing is broken; answer if the pipe still works, then
-         drop the connection. *)
-      Metrics.incr t.metrics "protocol_errors";
-      (try Protocol.send fd (Protocol.error d) with _ -> ())
-    | Ok (Some v) ->
-      let deadline = request_deadline t in
-      let t0 = Unix.gettimeofday () in
-      let op, resp, stop = dispatch t ~deadline v in
-      Metrics.observe t.metrics ~op ~ok:(is_ok resp) ((Unix.gettimeofday () -. t0) *. 1000.);
-      let keep = send_reply t fd ~deadline resp in
-      if stop then initiate_stop t
-      else if keep && not (Atomic.get t.stopping) then loop ()
-  in
-  loop ()
-
-(* ---- admission ---- *)
-
-let set_conn_timeouts t fd =
-  if t.request_timeout_ms > 0.0 then begin
-    let s = t.request_timeout_ms /. 1000.0 in
-    (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO s with
-    | Unix.Unix_error _ | Invalid_argument _ -> ());
-    try Unix.setsockopt_float fd Unix.SO_SNDTIMEO s with
-    | Unix.Unix_error _ | Invalid_argument _ -> ()
-  end
-
-let shed t fd ~busy ~queued =
-  Metrics.incr t.metrics "requests_shed";
-  let d =
-    Diag.errorf Diag.Overloaded
-      "server overloaded (%d connections in flight, %d queued of %d): retry with backoff"
-      busy queued t.queue_bound
-  in
-  (* A one-frame reply fits the socket buffer; SO_SNDTIMEO bounds a
-     pathological peer so the accept thread cannot be pinned. *)
-  (try Protocol.send fd (Protocol.error d) with _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let admit t fd =
-  let forced =
-    match Faults.hit "service.shed" with
-    | () -> false
-    | exception Faults.Fault _ -> true
-  in
-  Mutex.lock t.q_lock;
-  let busy = t.busy and queued = Queue.length t.queue in
-  (* Admit while a worker is free to pick the connection up at once, or
-     while the bounded queue has room; shed otherwise (or when the
-     ["service.shed"] chaos point fires). *)
-  if (not forced) && (busy < t.max_conns || queued < t.queue_bound) then begin
-    Queue.push fd t.queue;
-    Condition.signal t.q_cond;
-    Mutex.unlock t.q_lock
-  end
-  else begin
-    Mutex.unlock t.q_lock;
-    shed t fd ~busy ~queued
-  end
-
-let rec worker_loop t slot =
-  Mutex.lock t.q_lock;
-  while Queue.is_empty t.queue && not (Atomic.get t.stopping) do
-    Condition.wait t.q_cond t.q_lock
-  done;
-  match Queue.take_opt t.queue with
-  | None ->
-    (* Stopping with a drained queue. *)
-    Mutex.unlock t.q_lock
-  | Some fd ->
-    t.busy <- t.busy + 1;
-    t.active.(slot) <- Some fd;
-    Mutex.unlock t.q_lock;
-    Metrics.incr_gauge t.metrics "connections_active";
-    (match handle_conn t fd with
-    | () -> ()
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception _ -> ());
-    Metrics.decr_gauge t.metrics "connections_active";
-    Mutex.lock t.q_lock;
-    t.busy <- t.busy - 1;
-    t.active.(slot) <- None;
-    Mutex.unlock t.q_lock;
-    (* Close after clearing the slot, under which a forced drain may
-       have issued a shutdown: the fd stays valid until this close. *)
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    worker_loop t slot
-
-let accept_loop t =
-  let rec loop () =
-    if Atomic.get t.stopping then ()
-    else begin
-      match Unix.accept ~cloexec:true t.listen_fd with
-      | fd, _ when Atomic.get t.stopping ->
-        (* The wake-up poke from [initiate_stop], or a client racing the
-           shutdown: either way, the server is closing. *)
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      | fd, _ -> (
-        match Faults.hit "service.accept" with
-        | () ->
-          Metrics.incr t.metrics "connections_accepted";
-          set_conn_timeouts t fd;
-          admit t fd;
-          loop ()
-        | exception Faults.Fault _ ->
-          (* Degrade: this connection is lost, the server is not. *)
-          Metrics.incr t.metrics "connections_dropped";
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ when Atomic.get t.stopping -> ()
-    end
-  in
-  loop ();
-  try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
+    Protocol.ok [ ("text", Jsonx.Str text) ]
+  | Protocol.Fuse f -> handle_fuse t ~deadline f
+  | Protocol.Fuse_exec e -> handle_fuse_exec t ~deadline e
+  | Protocol.Stream_open o -> handle_stream_open t ~deadline o
+  | Protocol.Stream_push s -> handle_stream_push t ~deadline s
+  | Protocol.Stream_close id -> handle_stream_close t id
+  | Protocol.Lazy_open o -> handle_lazy_open t o
+  | Protocol.Lazy_edit e -> handle_lazy_edit t e
+  | Protocol.Lazy_flush f -> handle_lazy_flush t f
+  | Protocol.Lazy_close id -> handle_lazy_close t id
+  | (Protocol.Ping | Protocol.Shutdown) as req ->
+    (* Answered by the front-end before it reaches a handler. *)
+    invalid_arg ("Server.handle: " ^ Protocol.op_name req)
 
 (* ---- lifecycle ---- *)
 
-let claim_socket path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
-  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
-    (* A socket file exists: stale (no listener) or live (refuse). *)
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect probe (Unix.ADDR_UNIX path) with
-    | () ->
-      Unix.close probe;
-      Error (Diag.errorf Diag.Service_error "another kfused is already serving on %s" path)
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Ok ()
-    | exception Unix.Unix_error (e, _, _) ->
-      (try Unix.close probe with Unix.Unix_error _ -> ());
-      Error (Diag.errorf ~file:path Diag.Io_error "cannot probe socket: %s" (Unix.error_message e)))
-  | _ -> Error (Diag.errorf ~file:path Diag.Io_error "exists and is not a socket")
+let claim_socket = Frontend.claim_socket
 
 let default_crash_dir () = Filename.concat (Plan_cache.default_dir ()) "crash-corpus"
 
@@ -1436,142 +935,77 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
     ?(exec_sandbox = Supervisor.Sandboxed) ?(exec_limits = Supervisor.default_limits)
     ?crash_dir ?(breaker_threshold = 3) ?(breaker_cooldown_ms = 60_000.0)
     ?(max_streams = 64) ?(stream_queue = 4) ?(stream_idle_ms = 60_000.0) () =
-  if max_conns < 1 then
-    Error (Diag.errorf Diag.Config_invalid "max_conns must be >= 1 (got %d)" max_conns)
-  else if queue < 0 then
-    Error (Diag.errorf Diag.Config_invalid "queue must be >= 0 (got %d)" queue)
-  else if max_streams < 1 then
-    Error (Diag.errorf Diag.Config_invalid "max_streams must be >= 1 (got %d)" max_streams)
-  else if stream_queue < 1 then
-    Error (Diag.errorf Diag.Config_invalid "stream_queue must be >= 1 (got %d)" stream_queue)
-  else if breaker_threshold < 1 then
-    Error
-      (Diag.errorf Diag.Config_invalid "breaker_threshold must be >= 1 (got %d)"
-         breaker_threshold)
-  else
-    match claim_socket path with
-    | Error _ as e -> e
-    | Ok () -> (
-      match
-        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        (try
-           Unix.bind fd (Unix.ADDR_UNIX path);
-           Unix.listen fd 64
-         with e ->
-           (try Unix.close fd with Unix.Unix_error _ -> ());
-           raise e);
-        fd
-      with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error (Diag.errorf ~file:path Diag.Io_error "cannot listen: %s" (Unix.error_message e))
-      | listen_fd ->
-        let metrics = Metrics.create () in
-        List.iter (Metrics.touch metrics)
-          [
-            "connections_accepted"; "connections_dropped"; "requests_shed";
-            "requests_timed_out"; "protocol_errors"; "native_exec_crashes";
-            "native_exec_timeouts"; "native_exec_limits"; "native_exec_fallbacks";
-            "streams_opened"; "streams_closed"; "streams_expired"; "streams_shed";
-            "frames_pushed"; "frames_shed"; "lazy_opened"; "lazy_closed";
-            "lazy_expired"; "lazy_shed"; "lazy_edits"; "lazy_flushes";
-          ];
-        Metrics.adjust_gauge metrics "connections_active" 0;
-        Metrics.adjust_gauge metrics "quarantined_plans" 0;
-        Metrics.adjust_gauge metrics "streams_active" 0;
-        Metrics.adjust_gauge metrics "lazy_active" 0;
-        let t =
-          {
-            socket_path = path;
-            listen_fd;
-            cache;
-            pool;
-            default_budget_ms = budget_ms;
-            request_timeout_ms;
-            drain_timeout_ms;
-            metrics;
-            exec_sandbox;
-            exec_limits;
-            crash_dir =
-              (match crash_dir with Some d -> d | None -> default_crash_dir ());
-            breaker =
-              Supervisor.Breaker.create ~threshold:breaker_threshold
-                ~cooldown_ms:breaker_cooldown_ms ();
-            started_at = Unix.gettimeofday ();
-            stopping = Atomic.make false;
-            stop_requested = Atomic.make false;
-            accept_thread = None;
-            workers = [||];
-            max_conns;
-            queue_bound = queue;
-            q_lock = Mutex.create ();
-            q_cond = Condition.create ();
-            queue = Queue.create ();
-            busy = 0;
-            active = Array.make max_conns None;
-            streams_lock = Mutex.create ();
-            streams = Hashtbl.create 16;
-            next_stream = Atomic.make 0;
-            max_streams;
-            stream_queue;
-            stream_idle_ms;
-            lazies_lock = Mutex.create ();
-            lazies = Hashtbl.create 16;
-            next_lazy = Atomic.make 0;
-          }
-        in
-        t.workers <- Array.init max_conns (fun slot -> Thread.create (worker_loop t) slot);
-        t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-        Ok t)
-
-let wait t =
-  (* Poll instead of parking in [Thread.join] right away: every blocked
-     thread of this server sits in an uninterruptible C call (join,
-     cond-wait, accept), so a process signal is only guaranteed to run
-     its OCaml handler once some thread reaches a poll point — which
-     this loop is.  The handler itself ([signal_stop]) just flips an
-     atomic; the stop work that takes locks happens here, in a normal
-     thread context. *)
-  while not (Atomic.get t.stopping || Atomic.get t.stop_requested) do
-    Thread.delay 0.02
-  done;
-  initiate_stop t;
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  (* The listener is closed; workers finish in-flight requests and drain
-     the admission queue.  Past the drain deadline, force the issue:
-     shut down every connection still being served or queued, so the
-     handlers' blocked reads and writes fail promptly and the workers
-     can be joined.  Zero leaked handler threads, bounded shutdown. *)
-  let deadline = Deadline.after_ms t.drain_timeout_ms in
-  let forced = ref false in
-  let rec drain () =
-    Mutex.lock t.q_lock;
-    let pending = t.busy + Queue.length t.queue in
-    if pending > 0 && (not !forced) && Deadline.expired deadline then begin
-      forced := true;
-      Array.iter
-        (function
-          | Some fd -> (
-            try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-          | None -> ())
-        t.active;
-      Queue.iter
-        (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        t.queue
-    end;
-    Mutex.unlock t.q_lock;
-    if pending > 0 then begin
-      Thread.delay 0.005;
-      drain ()
-    end
+  let limits = { Frontend.max_conns; queue; request_timeout_ms; drain_timeout_ms } in
+  let checked =
+    Result.bind (Frontend.validate_limits limits) (fun () ->
+        if max_streams < 1 then
+          Error (Diag.errorf Diag.Config_invalid "max_streams must be >= 1 (got %d)" max_streams)
+        else if stream_queue < 1 then
+          Error
+            (Diag.errorf Diag.Config_invalid "stream_queue must be >= 1 (got %d)" stream_queue)
+        else if breaker_threshold < 1 then
+          Error
+            (Diag.errorf Diag.Config_invalid "breaker_threshold must be >= 1 (got %d)"
+               breaker_threshold)
+        else claim_socket path)
   in
-  drain ();
-  Array.iter Thread.join t.workers;
-  (* Workers are joined, so no push is in flight: every stream's pinned
-     plan can be released before the process exits. *)
-  release_all_streams t;
-  release_all_lazies t;
-  (try Unix.unlink t.socket_path with Unix.Unix_error _ -> ())
+  match Result.bind checked (fun () -> Frontend.create ~socket:path ~role:"server" limits) with
+  | Error _ as e -> e
+  | Ok fe ->
+    let metrics = Frontend.metrics fe in
+    List.iter (Metrics.touch metrics)
+      [
+        "native_exec_crashes"; "native_exec_timeouts"; "native_exec_limits";
+        "native_exec_fallbacks"; "frames_pushed"; "frames_shed"; "lazy_edits";
+        "lazy_flushes";
+      ];
+    Metrics.adjust_gauge metrics "quarantined_plans" 0;
+    let table ~family ~noun ~id_prefix ~full ?on_release () =
+      Session_table.create ~metrics ~family ~noun ~id_prefix ~capacity:max_streams
+        ~idle_ms:stream_idle_ms ?on_release
+        ~full:(fun cap -> Diag.errorf Diag.Overloaded "server at --max-streams (%d)%s" cap full)
+        ()
+    in
+    let t =
+      {
+        fe;
+        cache;
+        pool;
+        default_budget_ms = budget_ms;
+        metrics;
+        exec_sandbox;
+        exec_limits;
+        crash_dir = (match crash_dir with Some d -> d | None -> default_crash_dir ());
+        breaker =
+          Supervisor.Breaker.create ~threshold:breaker_threshold
+            ~cooldown_ms:breaker_cooldown_ms ();
+        started_at = Unix.gettimeofday ();
+        streams =
+          table ~family:"streams" ~noun:"stream" ~id_prefix:"st"
+            ~full:": close a stream or retry with backoff"
+            ~on_release:(fun st -> Option.iter Native.release st.stream_plan)
+            ();
+        lazies =
+          table ~family:"lazy" ~noun:"lazy session" ~id_prefix:"lz"
+            ~full:" lazy sessions: close one or retry with backoff" ();
+        max_streams;
+        stream_queue;
+        stream_idle_ms;
+      }
+    in
+    Frontend.serve fe (handle t);
+    Ok t
+
+(* Workers are joined by the time the sessions are drained, so no
+   operation holds one: every stream's pinned plan is released before
+   the process exits. *)
+let wait t =
+  Frontend.wait t.fe ~after_drain:(fun () ->
+      Session_table.release_all t.streams;
+      Session_table.release_all t.lazies)
+
+let signal_stop t = Frontend.signal_stop t.fe
 
 let stop t =
-  initiate_stop t;
+  Frontend.request_stop t.fe;
   wait t

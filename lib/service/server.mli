@@ -1,15 +1,17 @@
 (** The [kfused] server: fusion-as-a-service over a Unix-domain socket,
     built to stay correct under overload, slow peers, and kill signals.
 
-    One accept loop (its own thread) admits each connection into a
-    bounded worker model: [max_conns] long-lived worker threads serve
-    connections, and up to [queue] more wait in a bounded admission
-    queue.  When both are full the connection is {e shed} with a typed
-    [KF0803 overloaded] reply instead of queueing forever.  All workers
-    share one {!Kfuse_cache.Plan_cache} and one {!Kfuse_util.Pool}: the
-    pool is batch-exclusive, so concurrent plans degrade gracefully to
-    serial execution inside their own thread rather than queueing
-    behind each other.
+    The server is a request handler behind a {!Frontend}, the connection
+    front-end it shares with the shard {!Router}.  The front-end accepts
+    each connection into a bounded worker model: [max_conns] long-lived
+    worker threads serve connections, and up to [queue] more wait in a
+    bounded admission queue.  When both are full the connection is
+    {e shed} with a typed [KF0803 overloaded] reply instead of queueing
+    forever.  All workers share one {!Kfuse_cache.Plan_cache} and one
+    {!Kfuse_util.Pool}: the pool is batch-exclusive, so concurrent plans
+    degrade gracefully to serial execution inside their own thread
+    rather than queueing behind each other.  Stream and lazy sessions
+    live in two {!Session_table}s with one shared lifecycle.
 
     Every request runs under a wall-clock deadline
     ([request_timeout_ms], also armed as [SO_RCVTIMEO]/[SO_SNDTIMEO] on
@@ -83,7 +85,10 @@ type t
     the session's temporal state, so the client can retry it verbatim.
     [stream_idle_ms] (default 60s; <= 0 disables) is the idle-expiry
     horizon: sessions untouched for longer are reaped lazily (on the
-    next stream/stats/metrics op), releasing their pinned native plan.
+    next session or stats op), releasing their pinned native plan; a
+    session an operation still holds is never reaped.  Lazy sessions
+    ([lazy_open] and friends) share the [max_streams] bound (counted
+    separately) and the idle horizon.
     Each stream compiles its plan exactly once at [stream_open] and
     reuses the pinned artifact for every frame
     ({!Kfuse_exec.Native.prepare}/{!Kfuse_exec.Native.run_plan});

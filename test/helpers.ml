@@ -36,3 +36,12 @@ let run_single p bindings =
   match Kfuse_ir.Eval.run_outputs p (Kfuse_ir.Eval.env_of_list bindings) with
   | [ (_, img) ] -> img
   | outs -> Alcotest.failf "expected one output, got %d" (List.length outs)
+
+(* Remove [path] and everything under it; missing entries are fine. *)
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())

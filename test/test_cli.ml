@@ -214,7 +214,12 @@ let test_run_native_no_toolchain () =
 
 let test_fuzz_native_smoke () =
   require_cc ();
-  let code, text = run_capture [ "fuzz"; "--cases"; "2"; "--seed"; "3"; "--native" ] in
+  (* Several OpenMP threads: a reassociated parallel sum would differ
+     from the interpreter in the last bits. *)
+  let code, text =
+    run_capture ~env:"KFUSE_FAULTS= OMP_NUM_THREADS=4"
+      [ "fuzz"; "--cases"; "2"; "--seed"; "3"; "--native" ]
+  in
   Alcotest.(check int) "native fuzz exits 0" 0 code;
   Alcotest.(check bool) "campaign is clean" true (contains "no failures" text)
 
@@ -225,8 +230,10 @@ let test_bench_native_small () =
   (* A present snapshot passes the gate; its content is not inspected. *)
   let snapshot = Filename.concat dir "BENCH_prev.json" in
   Out_channel.with_open_text snapshot (fun oc -> output_string oc "{}\n");
+  (* Several OpenMP threads: each dlclose of an OpenMP artifact must
+     leave libgomp's parked workers mapped. *)
   let code, text =
-    run_capture
+    run_capture ~env:"KFUSE_FAULTS= OMP_NUM_THREADS=4"
       [
         "bench-native"; "-o"; out; "--runs"; "1"; "--width"; "32"; "--height"; "24";
         "--apps"; "sobel,unsharp"; "--check"; "--cache-dir"; dir;

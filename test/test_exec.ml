@@ -60,7 +60,9 @@ let test_emit_golden_map_reduce () =
       (* neg of a negative literal must not paste into the "--" token *)
       "(- -0.25f)";
       "float acc = 0.0f;";
-      "reduction(+:acc)";
+      (* a + reduction runs serially: a parallel float sum reassociates *)
+      "  float acc = 0.0f;\n  for (int y = 0; y < height; ++y) {";
+      "acc = (acc + img_neg[((y * width) + x)]);";
       (* the reduction broadcast-fills its whole output buffer *)
       "for (int i = 0; i < (width * height); ++i)";
       "out[i] = acc;";
@@ -69,7 +71,9 @@ let test_emit_golden_map_reduce () =
       "free(neg);";
     ];
   if contains "(--" src then
-    Alcotest.failf "emitted C contains the \"--\" token paste:\n%s" src
+    Alcotest.failf "emitted C contains the \"--\" token paste:\n%s" src;
+  if contains "reduction(+" src then
+    Alcotest.failf "emitted C parallelizes a float sum:\n%s" src
 
 let test_emit_golden_double_tiled () =
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
@@ -201,7 +205,7 @@ let with_cache_dir f =
   let dir = Filename.temp_file "kfuse_exec_cache" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  f dir
+  Fun.protect ~finally:(fun () -> Helpers.rm_rf dir) (fun () -> f dir)
 
 let max_diff reference outputs =
   Alcotest.(check (list string))

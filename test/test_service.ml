@@ -684,6 +684,145 @@ let test_shutdown_request () =
         Svc.Server.wait server;
         Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket))
 
+(* ---- wire contract ---- *)
+
+(* Every key path of a JSON object ("a.b.c"; arrays are leaves), sorted. *)
+let key_paths v =
+  let rec go prefix acc = function
+    | Jsonx.Obj fields ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let path = if prefix = "" then k else prefix ^ "." ^ k in
+          go path (path :: acc) v)
+        acc fields
+    | _ -> acc
+  in
+  List.sort_uniq String.compare (go "" [] v)
+
+(* Every series of a metrics exposition: the text before the value. *)
+let metric_series text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         if String.length line = 0 || line.[0] = '#' then None
+         else
+           match String.rindex_opt line ' ' with
+           | Some i -> Some (String.sub line 0 i)
+           | None -> Some line)
+  |> List.sort_uniq String.compare
+
+let contract_ops =
+  [ "fuse"; "fuse_exec"; "stream_open"; "stream_push"; "stream_close"; "lazy_open";
+    "lazy_edit"; "lazy_flush"; "lazy_close"; "stats"; "metrics"; "ping" ]
+
+let expected_stats_paths =
+  let per_op op =
+    let l = "requests." ^ op ^ ".latency" in
+    [ "requests." ^ op; "requests." ^ op ^ ".total"; "requests." ^ op ^ ".errors"; l;
+      l ^ ".samples"; l ^ ".p50_ms"; l ^ ".p90_ms"; l ^ ".p95_ms"; l ^ ".p99_ms";
+      l ^ ".max_ms"; l ^ ".mean_ms" ]
+  in
+  List.sort_uniq String.compare
+    ([ "status"; "uptime_s"; "cache"; "cache.entries"; "cache.capacity"; "cache.hits";
+       "cache.disk_hits"; "cache.misses"; "cache.iso_misses"; "cache.evictions";
+       "cache.stores"; "cache.disk_errors"; "cache.hit_rate"; "requests";
+       "connections"; "connections.accepted"; "connections.dropped";
+       "connections.active"; "connections.shed"; "connections.timed_out"; "limits";
+       "limits.max_conns"; "limits.queue"; "limits.request_timeout_ms";
+       "limits.drain_timeout_ms"; "native_exec"; "native_exec.sandbox";
+       "native_exec.crashes"; "native_exec.timeouts"; "native_exec.limit_hits";
+       "native_exec.fallbacks"; "native_exec.quarantined"; "native_exec.crash_dir";
+       "streams"; "streams.active"; "streams.opened"; "streams.closed";
+       "streams.expired"; "streams.shed"; "streams.frames_pushed";
+       "streams.frames_shed"; "streams.max_streams"; "streams.stream_queue";
+       "streams.stream_idle_ms"; "lazy"; "lazy.active"; "lazy.opened"; "lazy.closed";
+       "lazy.expired"; "lazy.shed"; "lazy.edits"; "lazy.flushes" ]
+    @ List.concat_map per_op contract_ops)
+
+let expected_metric_series =
+  let per_op op =
+    let q name = Printf.sprintf "kfused_request_latency_ms{op=%S,quantile=%S}" op name in
+    [ Printf.sprintf "kfused_requests_total{op=%S}" op;
+      Printf.sprintf "kfused_request_errors_total{op=%S}" op; q "0.5"; q "0.9"; q "0.95";
+      q "0.99"; Printf.sprintf "kfused_request_latency_ms_max{op=%S}" op;
+      Printf.sprintf "kfused_request_latency_ms_mean{op=%S}" op ]
+  in
+  List.sort_uniq String.compare
+    (List.map (fun c -> "kfused_" ^ c ^ "_total")
+       [ "connections_accepted"; "connections_dropped"; "requests_shed";
+         "requests_timed_out"; "protocol_errors"; "native_exec_crashes";
+         "native_exec_timeouts"; "native_exec_limits"; "native_exec_fallbacks";
+         "streams_opened"; "streams_closed"; "streams_expired"; "streams_shed";
+         "frames_pushed"; "frames_shed"; "lazy_opened"; "lazy_closed"; "lazy_expired";
+         "lazy_shed"; "lazy_edits"; "lazy_flushes" ]
+    @ List.map (fun g -> "kfused_" ^ g)
+        [ "connections_active"; "quarantined_plans"; "streams_active"; "lazy_active" ]
+    @ [ "kfused_uptime_seconds"; "kfused_plan_cache_entries"; "kfused_plan_cache_capacity";
+        "kfused_plan_cache_hits_total"; "kfused_plan_cache_disk_hits_total";
+        "kfused_plan_cache_misses_total"; "kfused_plan_cache_iso_misses_total";
+        "kfused_plan_cache_evictions_total"; "kfused_plan_cache_stores_total";
+        "kfused_plan_cache_disk_errors_total"; "kfused_plan_cache_hit_rate" ]
+    @ List.concat_map per_op contract_ops)
+
+(* One operation of each kind on a fresh server, then the full set of
+   stats key paths and metric series: dashboards and the benchmark read
+   these names, so they must not drift. *)
+let test_wire_contract () =
+  with_server @@ fun socket _server ->
+  Svc.Client.with_connection ~socket (fun c ->
+      let ( let* ) = Result.bind in
+      let small = fuse_req "sobel" in
+      let* _ = Svc.Client.fuse c small in
+      (* Without a toolchain fuse_exec is a typed error: still one op. *)
+      let _ =
+        Svc.Client.fuse_exec c
+          {
+            Protocol.fuse = small;
+            exec_mode = None;
+            width = Some 16;
+            height = Some 12;
+            seed = 1;
+            repeat = 1;
+            verify = false;
+            return_pixels = false;
+          }
+      in
+      let* opened =
+        Svc.Client.stream_open c
+          { Protocol.fuse = fuse_req "motion"; exec_mode = None; width = Some 16;
+            height = Some 12; seed = 1 }
+      in
+      let id = match field "id" opened with Jsonx.Str s -> s | _ -> "?" in
+      let* _ =
+        Svc.Client.stream_push c { Protocol.id; verify = false; return_pixels = false }
+      in
+      let* _ = Svc.Client.stream_close c id in
+      let* opened =
+        Svc.Client.request c
+          (Protocol.Lazy_open
+             { Protocol.app = None; source = None; width = Some 16; height = Some 12;
+               channels = None; inputs = [ "in" ]; c_mshared = None; gamma = None;
+               tg = None })
+      in
+      let id = match field "id" opened with Jsonx.Str s -> s | _ -> "?" in
+      let* _ =
+        Svc.Client.request c
+          (Protocol.Lazy_edit { Protocol.id; command = "add blur = conv(in, gauss3, mirror)" })
+      in
+      let* _ = Svc.Client.request c (Protocol.Lazy_flush { Protocol.id; scratch = false }) in
+      let* _ = Svc.Client.request c (Protocol.Lazy_close id) in
+      let* () = Svc.Client.ping c in
+      let* _ = Svc.Client.metrics c in
+      let* _ = Svc.Client.stats c in
+      let* stats = Svc.Client.stats c in
+      let* text = Svc.Client.metrics c in
+      Alcotest.(check (list string)) "stats key paths" expected_stats_paths
+        (key_paths stats);
+      Alcotest.(check (list string)) "metric series"
+        expected_metric_series
+        (List.filter (String.starts_with ~prefix:"kfused_") (metric_series text));
+      Ok ())
+  |> expect_ok
+
 let suite =
   [
     Alcotest.test_case "jsonx: encode/decode roundtrip" `Quick test_jsonx_roundtrip;
@@ -708,4 +847,6 @@ let suite =
       test_lazy_session_end_to_end;
     Alcotest.test_case "kfused: lazy_open seeded from a registry app" `Quick
       test_lazy_open_seeded;
+    Alcotest.test_case "kfused: wire contract of stats and metrics names" `Quick
+      test_wire_contract;
   ]

@@ -299,39 +299,122 @@ let test_stream_unknown_id () =
       Ok ())
   |> expect_ok
 
-let test_stream_capacity_shed () =
+(* Streams and lazy sessions share one session table: the capacity
+   shed and idle expiry below run once per kind. *)
+type kind = {
+  family : string;  (* metric family: <family>_shed, <family>_active, ... *)
+  open_ : Svc.Client.t -> (Jsonx.t, Diag.t) result;
+  use : Svc.Client.t -> string -> (Jsonx.t, Diag.t) result;
+  close : Svc.Client.t -> string -> (Jsonx.t, Diag.t) result;
+}
+
+let stream_kind =
+  {
+    family = "streams";
+    open_ = (fun c -> Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion"));
+    use = (fun c id -> Svc.Client.stream_push c (push_req id));
+    close = Svc.Client.stream_close;
+  }
+
+let lazy_kind =
+  {
+    family = "lazy";
+    open_ =
+      (fun c ->
+        Svc.Client.request c
+          (Protocol.Lazy_open
+             {
+               Protocol.app = None;
+               source = None;
+               width = Some 16;
+               height = Some 12;
+               channels = None;
+               inputs = [ "in" ];
+               c_mshared = None;
+               gamma = None;
+               tg = None;
+             }));
+    use =
+      (fun c id -> Svc.Client.request c (Protocol.Lazy_flush { Protocol.id; scratch = false }));
+    close = (fun c id -> Svc.Client.request c (Protocol.Lazy_close id));
+  }
+
+let test_capacity_shed kind () =
   with_server ~max_streams:1 @@ fun socket server ->
   Svc.Client.with_connection ~socket (fun c ->
-      let first = expect_ok (Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion")) in
-      (match Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion") with
+      let first = expect_ok (kind.open_ c) in
+      (match kind.open_ c with
       | Ok _ -> Alcotest.fail "second open must be shed at --max-streams 1"
       | Error d -> Alcotest.(check string) "shed typed KF0803" "KF0803" (code_of d));
-      Alcotest.(check int) "shed counted" 1 (counter server "streams_shed");
+      Alcotest.(check int) "shed counted" 1 (counter server (kind.family ^ "_shed"));
       (* Closing frees the slot: the next open is admitted. *)
-      ignore (expect_ok (Svc.Client.stream_close c (stream_id first)));
-      let third = expect_ok (Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion")) in
-      ignore (expect_ok (Svc.Client.stream_close c (stream_id third)));
+      ignore (expect_ok (kind.close c (stream_id first)));
+      let third = expect_ok (kind.open_ c) in
+      ignore (expect_ok (kind.close c (stream_id third)));
       Ok ())
   |> expect_ok;
-  Alcotest.(check int) "gauge back to zero" 0 (gauge server "streams_active")
+  Alcotest.(check int) "gauge back to zero" 0 (gauge server (kind.family ^ "_active"))
 
-let test_stream_idle_expiry () =
+let test_idle_expiry kind () =
   with_server ~stream_idle_ms:40.0 @@ fun socket server ->
   Svc.Client.with_connection ~socket (fun c ->
-      let opened = expect_ok (Svc.Client.stream_open c (open_req ~width:16 ~height:12 "motion")) in
-      let id = stream_id opened in
-      ignore (expect_ok (Svc.Client.stream_push c (push_req id)));
+      let id = stream_id (expect_ok (kind.open_ c)) in
+      ignore (expect_ok (kind.use c id));
       Thread.delay 0.12;
-      (* Reaping is lazy: any stream/stats op sweeps the idle table. *)
+      (* Reaping is lazy: any session/stats op sweeps the idle table. *)
       ignore (expect_ok (Svc.Client.stats c));
-      Alcotest.(check int) "expiry counted" 1 (counter server "streams_expired");
-      Alcotest.(check int) "gauge back to zero" 0 (gauge server "streams_active");
+      Alcotest.(check int) "expiry counted" 1 (counter server (kind.family ^ "_expired"));
+      Alcotest.(check int) "gauge back to zero" 0 (gauge server (kind.family ^ "_active"));
       (* The id is gone, not resurrect-able. *)
-      (match Svc.Client.stream_push c (push_req id) with
-      | Ok _ -> Alcotest.fail "push to an expired stream must fail"
+      (match kind.use c id with
+      | Ok _ -> Alcotest.fail "use of an expired session must fail"
       | Error d -> Alcotest.(check string) "expired id typed KF0806" "KF0806" (code_of d));
       Ok ())
   |> expect_ok
+
+(* The table itself: a session held by an in-flight operation outlives
+   its idle horizon, and its release hook runs exactly once however the
+   close, the release and a later expiry or drain interleave. *)
+let test_session_table_held_not_reaped () =
+  let metrics = Svc.Metrics.create () in
+  let released = ref 0 in
+  let table =
+    Svc.Session_table.create ~metrics ~family:"t" ~noun:"thing" ~id_prefix:"th"
+      ~capacity:2 ~idle_ms:1.0
+      ~full:(fun n -> Diag.errorf Diag.Overloaded "full at %d" n)
+      ~on_release:(fun () -> incr released)
+      ()
+  in
+  let entry = expect_ok (Svc.Session_table.open_ table (fun () -> Ok ())) in
+  let id = Svc.Session_table.id entry in
+  Alcotest.(check string) "id from the prefix" "th-0" id;
+  let active () = Svc.Metrics.gauge metrics "t_active" in
+  expect_ok
+    (Svc.Session_table.with_session table id (fun held ->
+         Thread.delay 0.01;
+         Svc.Session_table.expire_idle table;
+         Alcotest.(check int) "held session not reaped" 1 (active ());
+         Alcotest.(check int) "no expiry counted" 0 (Svc.Metrics.counter metrics "t_expired");
+         ignore (expect_ok (Svc.Session_table.close table id));
+         Alcotest.(check int) "close defers the hook to the holder" 0 !released;
+         Alcotest.(check bool) "holder sees the close" true
+           (Svc.Session_table.is_closed table held)));
+  Alcotest.(check int) "last holder runs the hook" 1 !released;
+  Thread.delay 0.01;
+  Svc.Session_table.expire_idle table;
+  Svc.Session_table.release_all table;
+  Alcotest.(check int) "hook ran exactly once" 1 !released;
+  (* An unheld idle session is reaped, its hook run once, drain after. *)
+  let other = expect_ok (Svc.Session_table.open_ table (fun () -> Ok ())) in
+  Thread.delay 0.01;
+  Svc.Session_table.expire_idle table;
+  Svc.Session_table.release_all table;
+  Alcotest.(check int) "idle session released once" 2 !released;
+  Alcotest.(check int) "expiry counted" 1 (Svc.Metrics.counter metrics "t_expired");
+  Alcotest.(check int) "gauge back to zero" 0 (active ());
+  match Svc.Session_table.with_session table (Svc.Session_table.id other) ignore with
+  | Ok () -> Alcotest.fail "an expired id must be unknown"
+  | Error d -> Alcotest.(check string) "typed KF0806" "KF0806" (code_of d)
 
 let test_stream_backpressure_retry () =
   with_server @@ fun socket server ->
@@ -505,9 +588,15 @@ let suite =
     Alcotest.test_case "stream: unknown id is a typed KF0806" `Quick
       test_stream_unknown_id;
     Alcotest.test_case "stream: capacity shed with KF0803, slot freed on close" `Quick
-      test_stream_capacity_shed;
+      (test_capacity_shed stream_kind);
     Alcotest.test_case "stream: idle sessions are reaped lazily" `Quick
-      test_stream_idle_expiry;
+      (test_idle_expiry stream_kind);
+    Alcotest.test_case "lazy: capacity shed with KF0803, slot freed on close" `Quick
+      (test_capacity_shed lazy_kind);
+    Alcotest.test_case "lazy: idle sessions are reaped lazily" `Quick
+      (test_idle_expiry lazy_kind);
+    Alcotest.test_case "session table: held session not reaped, hook once" `Quick
+      test_session_table_held_not_reaped;
     Alcotest.test_case "stream: backpressure shed retried exactly once" `Quick
       test_stream_backpressure_retry;
     Alcotest.test_case "stream: stop drains and releases live streams" `Quick

@@ -384,6 +384,45 @@ let test_stream_pinning () =
   | Ok _ -> ()
   | Error d -> Alcotest.failf "stream_close: %s" (Diag.to_string d)
 
+(* Lazy sessions cross the router like streams: the open reply's id is
+   shard-prefixed, and edits, flushes and the close route back to the
+   shard that holds the builder. *)
+let test_lazy_pinning () =
+  with_fleet ~count:2 @@ fun socket _router ->
+  let call req =
+    match Svc.Client.call ~socket req with
+    | Ok v -> v
+    | Error d -> Alcotest.failf "%s: %s" (Protocol.op_name req) (Diag.to_string d)
+  in
+  let opened =
+    call
+      (Protocol.Lazy_open
+         {
+           Protocol.app = None;
+           source = None;
+           width = Some 16;
+           height = Some 12;
+           channels = None;
+           inputs = [ "in" ];
+           c_mshared = None;
+           gamma = None;
+           tg = None;
+         })
+  in
+  let id =
+    match Jsonx.mem_str "id" opened with
+    | Some id -> id
+    | None -> Alcotest.failf "lazy_open reply lacks id: %s" (Jsonx.to_string opened)
+  in
+  Alcotest.(check bool) "id is shard-prefixed" true (id.[0] = 's' && String.contains id '-');
+  ignore (call (Protocol.Lazy_edit { Protocol.id; command = "add blur = conv(in, gauss3, mirror)" }));
+  let flushed = call (Protocol.Lazy_flush { Protocol.id; scratch = false }) in
+  Alcotest.(check (option string)) "flush reply carries the router id" (Some id)
+    (Jsonx.mem_str "id" flushed);
+  let closed = call (Protocol.Lazy_close id) in
+  Alcotest.(check bool) "close reports one flush" true
+    (Jsonx.member "flushes" closed = Some (Jsonx.Num 1.0))
+
 (* ---- stale socket reclaim ---- *)
 
 let test_fleet_socket_sweep () =
@@ -423,5 +462,6 @@ let suite =
     Alcotest.test_case "single flight" `Slow test_single_flight;
     Alcotest.test_case "single flight distinct keys" `Slow test_single_flight_distinct_keys;
     Alcotest.test_case "stream pinning" `Slow test_stream_pinning;
+    Alcotest.test_case "lazy session pinning" `Slow test_lazy_pinning;
     Alcotest.test_case "fleet socket sweep" `Quick test_fleet_socket_sweep;
   ]

@@ -181,7 +181,6 @@ let fault_gen =
     [
       None;
       Some "cut.stoer_wagner@1";
-      Some "cut.karger@1";
       Some "driver.strategy@1";
       Some "cut.stoer_wagner~0.5:77";
     ]
