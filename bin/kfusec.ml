@@ -376,13 +376,11 @@ let emit_cmd =
 let exec_mode_arg =
   let mode_conv =
     Arg.conv
-      ( (function
-        | "auto" -> Ok None
-        | s -> (
-          match Exec.Native.mode_of_string s with
-          | Some m -> Ok (Some m)
+      ( (fun s ->
+          match Exec.Native.mode_request_of_string s with
+          | Some m -> Ok m
           | None ->
-            Error (`Msg (Printf.sprintf "unknown exec mode %S (auto, dlopen, subprocess)" s)))),
+            Error (`Msg (Printf.sprintf "unknown exec mode %S (auto, dlopen, subprocess)" s))),
         fun ppf m ->
           Format.pp_print_string ppf
             (match m with None -> "auto" | Some m -> Exec.Native.mode_to_string m) )
@@ -710,6 +708,20 @@ let socket_arg =
         ~doc:"Unix-domain socket the service listens on (default \
               \\$XDG_RUNTIME_DIR/kfused.sock).")
 
+let exec_sandbox_arg doc =
+  let policy_conv =
+    Arg.conv
+      ( (fun s ->
+          match Exec.Supervisor.policy_of_string s with
+          | Some p -> Ok p
+          | None -> Error (`Msg "expected on or dlopen-trusted")),
+        fun ppf p -> Format.pp_print_string ppf (Exec.Supervisor.policy_to_string p) )
+  in
+  Arg.(
+    value
+    & opt policy_conv Exec.Supervisor.Sandboxed
+    & info [ "exec-sandbox" ] ~docv:"POLICY" ~doc)
+
 let serve_cmd =
   let doc = "Run kfused: serve fusion plans over a Unix-domain socket." in
   let man =
@@ -770,26 +782,14 @@ let serve_cmd =
              forcibly close the stragglers and remove the socket.")
   in
   let sandbox_arg =
-    let policy_conv =
-      Arg.conv
-        ( (fun s ->
-            match Exec.Supervisor.policy_of_string s with
-            | Some p -> Ok p
-            | None -> Error (`Msg "expected on, off or dlopen-trusted")),
-          fun ppf p -> Format.pp_print_string ppf (Exec.Supervisor.policy_to_string p) )
-    in
-    Arg.(
-      value
-      & opt policy_conv Exec.Supervisor.Sandboxed
-      & info [ "exec-sandbox" ] ~docv:"POLICY"
-          ~doc:
-            "How fuse_exec runs generated native code.  $(b,on) (default): \
-             every execution is a supervised fork/exec subprocess under \
-             rlimits and a deadline watchdog — a plan that segfaults, loops \
-             or exhausts memory yields a typed KF0905/KF0906/KF0907 reply \
-             and never harms the daemon.  $(b,dlopen-trusted): allow the \
-             fast in-process dlopen path (trusts codegen); subprocess runs \
-             keep their rlimits.  $(b,off): no sandbox, no circuit breaker.")
+    exec_sandbox_arg
+      "How fuse_exec and streams run generated native code.  $(b,on) \
+       (default): every execution is a supervised fork/exec subprocess \
+       under rlimits and a deadline watchdog — a plan that segfaults, loops \
+       or exhausts memory yields a typed KF0905/KF0906/KF0907 reply and \
+       never harms the daemon.  $(b,dlopen-trusted): allow the fast \
+       in-process dlopen path (trusts codegen); subprocess runs keep their \
+       rlimits.  Under both, a plan that keeps failing is quarantined."
   in
   let crash_dir_arg =
     Arg.(
@@ -1021,19 +1021,7 @@ let shard_serve_cmd =
           ~doc:"Consecutive missed pings before a hung shard is killed.")
   in
   let sandbox_arg =
-    let policy_conv =
-      Arg.conv
-        ( (fun s ->
-            match Exec.Supervisor.policy_of_string s with
-            | Some p -> Ok p
-            | None -> Error (`Msg "expected on, off or dlopen-trusted")),
-          fun ppf p -> Format.pp_print_string ppf (Exec.Supervisor.policy_to_string p) )
-    in
-    Arg.(
-      value
-      & opt policy_conv Exec.Supervisor.Sandboxed
-      & info [ "exec-sandbox" ] ~docv:"POLICY"
-          ~doc:"Per-shard fuse_exec sandbox policy (see $(b,kfusec serve)).")
+    exec_sandbox_arg "Per-shard fuse_exec sandbox policy (see $(b,kfusec serve))."
   in
   let run socket shard_dir shards cache_dir capacity max_conns queue request_timeout_ms
       forward_timeout_ms drain_timeout_ms shard_grace_ms health_interval_ms

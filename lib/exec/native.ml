@@ -27,6 +27,10 @@ let mode_of_string = function
   | "subprocess" -> Some Subprocess
   | _ -> None
 
+let mode_request_of_string = function
+  | "auto" -> Some None
+  | s -> Option.map Option.some (mode_of_string s)
+
 type run_result = {
   outputs : (string * Image.t) list;
   mode_used : mode;
@@ -451,14 +455,6 @@ let exec_entry ~deadline ~entry ~artifact ~repeat (p : Pipeline.t) inputs pvals 
     Error (sample_deadline_diag ~artifact ~done_:(List.length !samples) ~repeat)
   else Ok (finish_outputs p out_names outs, List.rev !samples)
 
-let exec_dlopen ~deadline ~limits:_ ~artifact ~repeat (p : Pipeline.t) inputs pvals =
-  match load_artifact artifact with
-  | Error d -> Error d
-  | Ok l ->
-    Fun.protect
-      ~finally:(fun () -> dl_close l.handle)
-      (fun () -> exec_entry ~deadline ~entry:l.entry ~artifact ~repeat p inputs pvals)
-
 let pack_float64 buf f = Buffer.add_int64_ne buf (Int64.bits_of_float f)
 
 let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs pvals =
@@ -520,53 +516,9 @@ let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs 
                 Ok (finish_outputs p out_names bufs, List.rev !samples)
               end)))
 
-(* {1 Entry point} *)
+(* {1 Pinned plans} *)
 
 let min_sample = function [] -> 0. | s :: rest -> List.fold_left min s rest
-
-let run_mode ~mode ~tile ~cache_dir ~repeat ~deadline ~limits ~warnings (p : Pipeline.t)
-    inputs pvals =
-  match compile ?cache_dir ?tile ~mode p with
-  | Error d -> Error d
-  | Ok (artifact, compile_ms, cached) -> (
-    let exec =
-      match mode with Dlopen -> exec_dlopen | Subprocess -> exec_subprocess
-    in
-    match exec ~deadline ~limits ~artifact ~repeat p inputs pvals with
-    | Error d -> Error d
-    | Ok (outputs, samples_ms) ->
-      Ok
-        {
-          outputs;
-          mode_used = mode;
-          artifact;
-          cached;
-          compile_ms;
-          exec_ms = min_sample samples_ms;
-          samples_ms;
-          warnings;
-        })
-
-let run ?mode ?tile ?cache_dir ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none)
-    ?(limits = Supervisor.no_limits) (p : Pipeline.t) inputs =
-  if repeat < 1 then invalid_arg "Native.run: repeat must be positive";
-  check_inputs p inputs;
-  let pvals = param_values p params in
-  let go ~mode ~warnings =
-    run_mode ~mode ~tile ~cache_dir ~repeat ~deadline ~limits ~warnings p inputs pvals
-  in
-  match mode with
-  | Some m -> go ~mode:m ~warnings:[]
-  | None -> (
-    match go ~mode:Dlopen ~warnings:[] with
-    | Ok r -> Ok r
-    | Error d when d.Diag.code = Diag.Exec_failed ->
-      (* In-process load failed; the subprocess runner shares no process
-         state with us, so it may still work.  Keep the evidence. *)
-      go ~mode:Subprocess ~warnings:[ { d with Diag.severity = Diag.Warning } ]
-    | Error d -> Error d)
-
-(* {1 Pinned plans} *)
 
 type plan = {
   plan_pipeline : Pipeline.t;
@@ -574,36 +526,53 @@ type plan = {
   plan_artifact : string;
   plan_cached : bool;
   plan_compile_ms : float;
+  plan_warnings : Diag.t list;
   plan_loaded : loaded option;  (* Some for Dlopen, None for Subprocess *)
   mutable plan_released : bool;
 }
 
-let prepare ?tile ?cache_dir ~mode (p : Pipeline.t) =
+let pin ?tile ?cache_dir ~mode (p : Pipeline.t) =
   match compile ?cache_dir ?tile ~mode p with
   | Error d -> Error d
-  | Ok (artifact, compile_ms, cached) -> (
-    let make loaded =
-      {
-        plan_pipeline = p;
-        plan_mode = mode;
-        plan_artifact = artifact;
-        plan_cached = cached;
-        plan_compile_ms = compile_ms;
-        plan_loaded = loaded;
-        plan_released = false;
-      }
+  | Ok (artifact, compile_ms, cached) ->
+    let loaded =
+      match mode with
+      | Subprocess -> Ok None
+      | Dlopen -> Result.map Option.some (load_artifact artifact)
     in
-    match mode with
-    | Subprocess -> Ok (make None)
-    | Dlopen -> (
-      match load_artifact artifact with
-      | Error d -> Error d
-      | Ok l -> Ok (make (Some l))))
+    Result.map
+      (fun plan_loaded ->
+        {
+          plan_pipeline = p;
+          plan_mode = mode;
+          plan_artifact = artifact;
+          plan_cached = cached;
+          plan_compile_ms = compile_ms;
+          plan_warnings = [];
+          plan_loaded;
+          plan_released = false;
+        })
+      loaded
+
+(* The one dlopen -> subprocess fallback: when no mode is requested an
+   in-process load failure (KF0904) retries as a subprocess runner,
+   which shares no process state with us, and keeps the evidence. *)
+let prepare ?mode ?tile ?cache_dir (p : Pipeline.t) =
+  match mode with
+  | Some mode -> pin ?tile ?cache_dir ~mode p
+  | None -> (
+    match pin ?tile ?cache_dir ~mode:Dlopen p with
+    | Error d when d.Diag.code = Diag.Exec_failed ->
+      Result.map
+        (fun plan -> { plan with plan_warnings = [ { d with Diag.severity = Diag.Warning } ] })
+        (pin ?tile ?cache_dir ~mode:Subprocess p)
+    | r -> r)
 
 let plan_mode plan = plan.plan_mode
 let plan_artifact plan = plan.plan_artifact
 let plan_cached plan = plan.plan_cached
 let plan_compile_ms plan = plan.plan_compile_ms
+let plan_warnings plan = plan.plan_warnings
 let plan_pipeline plan = plan.plan_pipeline
 
 let release plan =
@@ -639,3 +608,20 @@ let run_plan ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none)
         samples_ms;
         warnings = [];
       }
+
+(* {1 One-shot execution} *)
+
+(* A one-shot run is a pinned plan used once.  The call is validated
+   before [prepare], so a malformed call never pays for a compile. *)
+let run ?mode ?tile ?cache_dir ?(params = []) ?(repeat = 1) ?deadline ?limits
+    (p : Pipeline.t) inputs =
+  if repeat < 1 then invalid_arg "Native.run: repeat must be positive";
+  check_inputs p inputs;
+  ignore (param_values p params);
+  match prepare ?mode ?tile ?cache_dir p with
+  | Error d -> Error d
+  | Ok plan ->
+    Fun.protect ~finally:(fun () -> release plan) @@ fun () ->
+    Result.map
+      (fun r -> { r with compile_ms = plan.plan_compile_ms; warnings = plan.plan_warnings })
+      (run_plan ~params ~repeat ?deadline ?limits plan inputs)

@@ -20,6 +20,12 @@
       loading untrusted-at-build-time objects into the host process is
       unwanted.
 
+    There is one execution lifecycle: {!prepare} compiles (or reuses)
+    and pins a {!plan}, {!run_plan} executes it, {!release} drops it.
+    A one-shot {!run} is exactly that sequence.  When no mode is
+    requested, {!prepare} tries {!Dlopen} and falls back to
+    {!Subprocess} on a load failure; it is the only place that does.
+
     Artifacts are content-addressed in a cache directory: the key folds
     the pipeline's exact fingerprint ({!Kfuse_cache.Fingerprint.exact}),
     the mode, the tiling, the toolchain and the ABI version, so a cache
@@ -52,6 +58,11 @@ type mode = Dlopen | Subprocess
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 
+val mode_request_of_string : string -> mode option option
+(** The requested-mode vocabulary of the CLI and the wire protocol:
+    ["auto"] is [Some None] (let {!prepare} choose), ["dlopen"] and
+    ["subprocess"] are [Some (Some m)], anything else is [None]. *)
+
 (** How and what a {!run} executed. *)
 type run_result = {
   outputs : (string * Image.t) list;
@@ -65,8 +76,8 @@ type run_result = {
   exec_ms : float;  (** fastest execution sample *)
   samples_ms : float list;  (** every execution sample, in run order *)
   warnings : Diag.t list;
-      (** e.g. the [KF0904] that made {!run} fall back from {!Dlopen}
-          to {!Subprocess} *)
+      (** e.g. the [KF0904] that made {!prepare} fall back from
+          {!Dlopen} to {!Subprocess} *)
 }
 
 (** [source ?tile ~mode p] is the complete C translation unit compiled
@@ -87,14 +98,16 @@ val compile :
   (string * float * bool, Diag.t) result
 
 (** [run ?mode ?tile ?cache_dir ?params ?repeat ?deadline ?limits p
-    inputs] compiles (or reuses) the artifact and executes it on
-    [inputs].
+    inputs] is {!prepare}, then {!run_plan}, then {!release}: compile
+    (or reuse) the artifact and execute it on [inputs].  The result
+    carries the plan's [compile_ms] and [warnings].
 
     [inputs] must bind exactly [p.inputs], each of the pipeline's
     extent.  [params] overrides pipeline parameter defaults by name.
-    [repeat] (default 1) executes the plan that many times over the
-    same buffers — [exec_ms] is the fastest sample, for benchmarking;
-    outputs come from the last run.
+    A malformed call raises [Invalid_argument] before anything is
+    compiled.  [repeat] (default 1) executes the plan that many times
+    over the same buffers — [exec_ms] is the fastest sample, for
+    benchmarking; outputs come from the last run.
 
     [deadline] (default {!Deadline.none}) bounds the whole execution:
     it is checked between [repeat] timing samples in both modes (a
@@ -104,12 +117,7 @@ val compile :
     (default {!Supervisor.no_limits}) applies rlimits to {!Subprocess}
     children; {!Dlopen} runs in-process and cannot be resource-capped —
     that is exactly why [kfused] defaults to the sandboxed subprocess
-    path.
-
-    When [mode] is omitted the backend tries {!Dlopen} and falls back
-    to {!Subprocess} if the shared object cannot be loaded, recording
-    the load failure in [warnings]; an explicit [mode] never falls
-    back. *)
+    path.  [mode] is as for {!prepare}. *)
 val run :
   ?mode:mode ->
   ?tile:int * int ->
@@ -136,14 +144,17 @@ type plan
 (** A compiled pipeline pinned in memory: artifact path plus, in
     {!Dlopen} mode, the loaded handle and resolved entry point. *)
 
-(** [prepare ?tile ?cache_dir ~mode p] compiles (or reuses) the artifact
-    for [p] and pins it.  In {!Dlopen} mode the shared object is loaded
-    and the entry point resolved immediately; a load failure is
-    [KF0904], letting callers retry with [~mode:Subprocess]. *)
+(** [prepare ?mode ?tile ?cache_dir p] compiles (or reuses) the
+    artifact for [p] and pins it.  In {!Dlopen} mode the shared object
+    is loaded and the entry point resolved immediately; a load failure
+    is [KF0904].  When [mode] is omitted, {!Dlopen} is tried first and
+    a [KF0904] falls back to {!Subprocess}, keeping the load failure as
+    a warning ({!plan_warnings}); an explicit [mode] never falls
+    back. *)
 val prepare :
+  ?mode:mode ->
   ?tile:int * int ->
   ?cache_dir:string ->
-  mode:mode ->
   Pipeline.t ->
   (plan, Diag.t) result
 
@@ -156,13 +167,17 @@ val plan_cached : plan -> bool
 val plan_compile_ms : plan -> float
 (** Wall-clock the C compiler took at {!prepare} time; [0] on a hit. *)
 
+val plan_warnings : plan -> Diag.t list
+(** The [KF0904] that made {!prepare} fall back to {!Subprocess}, if
+    any. *)
+
 val plan_pipeline : plan -> Pipeline.t
 
 (** [run_plan ?params ?repeat ?deadline ?limits plan inputs] executes
     the pinned plan; contract as {!run} ([inputs] binds exactly the
     pipeline's inputs, failures are typed [KF0904..KF0907]), except
-    nothing is compiled or loaded: [compile_ms] is always [0] and
-    [cached] reports what {!prepare} saw.
+    nothing is compiled or loaded: [compile_ms] is always [0],
+    [warnings] is empty and [cached] reports what {!prepare} saw.
     @raise Invalid_argument after {!release}. *)
 val run_plan :
   ?params:(string * float) list ->

@@ -6,17 +6,13 @@ module Pipeline = Kfuse_ir.Pipeline
 
 (* {1 Sandbox policy} *)
 
-type policy = Sandboxed | Dlopen_trusted | Unsandboxed
+type policy = Sandboxed | Dlopen_trusted
 
-let policy_to_string = function
-  | Sandboxed -> "on"
-  | Dlopen_trusted -> "dlopen-trusted"
-  | Unsandboxed -> "off"
+let policy_to_string = function Sandboxed -> "on" | Dlopen_trusted -> "dlopen-trusted"
 
 let policy_of_string = function
   | "on" -> Some Sandboxed
   | "dlopen-trusted" -> Some Dlopen_trusted
-  | "off" -> Some Unsandboxed
   | _ -> None
 
 (* {1 Resource limits} *)

@@ -35,17 +35,21 @@ module Pipeline = Kfuse_ir.Pipeline
 
 (** {1 Sandbox policy}
 
-    How [kfused] runs native plans ([--exec-sandbox]):
+    How [kfused] runs native plans ([--exec-sandbox]).  Under both
+    policies the circuit breaker and the service rlimits apply to every
+    native execution.
     - {!Sandboxed} (default): every execution is a supervised subprocess
-      with rlimits and the watchdog; in-process dlopen is never used.
-    - {!Dlopen_trusted}: the fast in-process dlopen path is allowed
-      (trusting codegen); subprocess executions are still supervised.
-    - {!Unsandboxed}: PR 6 behaviour — no rlimits, no circuit breaker;
-      subprocess executions still use fork/exec and honor deadlines. *)
-type policy = Sandboxed | Dlopen_trusted | Unsandboxed
+      with rlimits and the watchdog; in-process dlopen is never used,
+      whatever mode a request asks for.  This is the one-shot path.
+    - {!Dlopen_trusted}: the requested mode is honoured, and no request
+      means auto (dlopen, falling back to a subprocess; see
+      {!Native.prepare}).  This trusts codegen in-process and is the
+      pinned-dlopen path streams want; subprocess executions are still
+      supervised. *)
+type policy = Sandboxed | Dlopen_trusted
 
 val policy_to_string : policy -> string
-(** ["on"], ["dlopen-trusted"], ["off"]. *)
+(** ["on"], ["dlopen-trusted"]. *)
 
 val policy_of_string : string -> policy option
 

@@ -343,6 +343,15 @@ let int_field name v =
     if Float.is_integer f && f >= 1.0 && f <= 1e9 then Ok (Some (int_of_float f))
     else proto_error "field %S must be a positive integer" name
 
+let exec_mode_field v =
+  let* name = typed_field "exec_mode" Jsonx.str "string" v in
+  match name with
+  | None -> Ok None
+  | Some s -> (
+    match Kfuse_exec.Native.mode_request_of_string s with
+    | Some m -> Ok m
+    | None -> proto_error "unknown exec_mode %S (auto, dlopen or subprocess)" s)
+
 let request_of_json v =
   match Jsonx.mem_str "op" v with
   | None -> proto_error "request must be an object with a string \"op\" field"
@@ -355,15 +364,7 @@ let request_of_json v =
     Ok (Fuse f)
   | Some "fuse_exec" ->
     let* fuse = fuse_of_json v in
-    let* exec_mode_name = typed_field "exec_mode" Jsonx.str "string" v in
-    let* exec_mode =
-      match exec_mode_name with
-      | None | Some "auto" -> Ok None
-      | Some s -> (
-        match Kfuse_exec.Native.mode_of_string s with
-        | Some m -> Ok (Some m)
-        | None -> proto_error "unknown exec_mode %S (auto, dlopen or subprocess)" s)
-    in
+    let* exec_mode = exec_mode_field v in
     let* width = int_field "width" v in
     let* height = int_field "height" v in
     let* () =
@@ -390,15 +391,7 @@ let request_of_json v =
          })
   | Some "stream_open" ->
     let* fuse = fuse_of_json v in
-    let* exec_mode_name = typed_field "exec_mode" Jsonx.str "string" v in
-    let* exec_mode =
-      match exec_mode_name with
-      | None | Some "auto" -> Ok None
-      | Some s -> (
-        match Kfuse_exec.Native.mode_of_string s with
-        | Some m -> Ok (Some m)
-        | None -> proto_error "unknown exec_mode %S (auto, dlopen or subprocess)" s)
-    in
+    let* exec_mode = exec_mode_field v in
     let* width = int_field "width" v in
     let* height = int_field "height" v in
     let* () =

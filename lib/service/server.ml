@@ -219,6 +219,9 @@ let output_json ~return_pixels (name, img) =
   in
   Jsonx.Obj (base @ pixels)
 
+let warnings_json warns =
+  Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warns)
+
 (* A quarantined plan still answers: the interpreter computes the
    pixels, the reply carries ["mode" = "interpreter"] plus a warning, so
    degradation is visible but not fatal — PR 2's degradation contract
@@ -241,7 +244,7 @@ let interpreter_fallback t ~served ~warning ~verify ~return_pixels p inputs =
               ("compile_ms", Jsonx.Num 0.0);
               ("exec_ms", Jsonx.Num ms);
               ("samples_ms", Jsonx.Arr [ Jsonx.Num ms ]);
-              ("warnings", Jsonx.Arr [ Jsonx.Str (Diag.to_string warning) ]);
+              ("warnings", warnings_json [ warning ]);
             ] );
         ("outputs", Jsonx.Arr (List.map (output_json ~return_pixels) outputs));
       ]
@@ -250,9 +253,9 @@ let interpreter_fallback t ~served ~warning ~verify ~return_pixels p inputs =
     @ if verify then [ ("max_abs_diff", Jsonx.Num 0.0) ] else [])
 
 (* Account a supervised-execution failure: counters, a crash artifact
-   for the fuzzer to shrink, and (when the breaker is in play) a strike
-   that may quarantine the fingerprint. *)
-let record_exec_failure t ~use_breaker ~fp ~seed p (d : Diag.t) =
+   for the fuzzer to shrink, and a breaker strike that may quarantine
+   the fingerprint. *)
+let record_exec_failure t ~fp ~seed p (d : Diag.t) =
   (match d.Diag.code with
   | Diag.Exec_timeout -> Metrics.incr t.metrics "native_exec_timeouts"
   | Diag.Exec_crashed -> Metrics.incr t.metrics "native_exec_crashes"
@@ -263,13 +266,49 @@ let record_exec_failure t ~use_breaker ~fp ~seed p (d : Diag.t) =
   in
   (match Supervisor.save_crash_artifact ~dir:t.crash_dir ~seed ~toolchain ~diag:d p with
   | Ok _ | Error _ -> ());
-  if use_breaker && Supervisor.Breaker.record_failure t.breaker fp d then
+  if Supervisor.Breaker.record_failure t.breaker fp d then
     Metrics.incr_gauge t.metrics "quarantined_plans"
 
 let is_supervised_failure (d : Diag.t) =
   match d.Diag.code with
   | Diag.Exec_timeout | Diag.Exec_crashed | Diag.Exec_limit -> true
   | _ -> false
+
+(* The one sandbox-policy decision: [on] runs everything as a
+   supervised subprocess (an in-process dlopen cannot be resource-capped
+   or killed, so a requested dlopen is overridden, visibly: "sandboxed"
+   is true in the reply); [dlopen-trusted] honours the request, and no
+   request is auto ({!Native.prepare}'s dlopen -> subprocess fallback). *)
+let exec_mode t requested =
+  match t.exec_sandbox with
+  | Supervisor.Sandboxed -> Some Native.Subprocess
+  | Supervisor.Dlopen_trusted -> requested
+
+let sandboxed t = Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed)
+
+(* A native execution behind the per-fingerprint circuit breaker.  A
+   quarantined plan is not run: [Error (`Quarantined warning)], whose
+   message ends in [fallback_note].  A supervised failure strikes the
+   breaker before coming back as [Error (`Failed d)]; a success closes
+   a half-open breaker. *)
+let guarded_exec t ~fp ~seed ~fallback_note p run =
+  match Supervisor.Breaker.check t.breaker fp with
+  | Supervisor.Breaker.Quarantined qd ->
+    Error
+      (`Quarantined
+        (Diag.warningf Diag.Exec_failed
+           "plan quarantined after %d consecutive native failures (last: %s); %s"
+           (Supervisor.Breaker.threshold t.breaker)
+           (Diag.to_string qd) fallback_note))
+  | Supervisor.Breaker.Allow | Supervisor.Breaker.Probe -> (
+    match run () with
+    | Ok res ->
+      if Supervisor.Breaker.record_success t.breaker fp then
+        Metrics.decr_gauge t.metrics "quarantined_plans";
+      Ok res
+    | Error d ->
+      if is_supervised_failure d then record_exec_failure t ~fp ~seed p d;
+      Error (`Failed d))
 
 let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
   match plan t ~deadline ?size:(size_of e.Protocol.width e.Protocol.height) e.Protocol.fuse with
@@ -292,130 +331,70 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
         (Diag.errorf Diag.Request_timeout
            "request deadline expired after planning, before native execution")
     | () -> (
-      let cache_dir = native_cache_dir t in
-      let fp = Fingerprint.exact p in
-      let use_breaker = t.exec_sandbox <> Supervisor.Unsandboxed in
-      let verdict =
-        if use_breaker then Supervisor.Breaker.check t.breaker fp
-        else Supervisor.Breaker.Allow
+      let run () =
+        Native.run ?mode:(exec_mode t e.Protocol.exec_mode) ~deadline ~limits:t.exec_limits
+          ?cache_dir:(native_cache_dir t) ~repeat:e.Protocol.repeat p inputs
       in
-      match verdict with
-      | Supervisor.Breaker.Quarantined qd ->
-        let warning =
-          Diag.warningf Diag.Exec_failed
-            "plan quarantined after %d consecutive native failures (last: %s); served by \
-             the interpreter"
-            (Supervisor.Breaker.threshold t.breaker)
-            (Diag.to_string qd)
-        in
+      match
+        guarded_exec t ~fp:(Fingerprint.exact p) ~seed:e.Protocol.seed
+          ~fallback_note:"served by the interpreter" p run
+      with
+      | Error (`Quarantined warning) ->
         interpreter_fallback t ~served ~warning ~verify:e.Protocol.verify
           ~return_pixels:e.Protocol.return_pixels p inputs
-      | Supervisor.Breaker.Allow | Supervisor.Breaker.Probe -> (
-        let result =
-          match t.exec_sandbox with
-          | Supervisor.Sandboxed ->
-            (* The only sandboxable mode is the supervised subprocess:
-               an in-process dlopen cannot be resource-capped or killed.
-               A requested dlopen mode is overridden, visibly
-               ("sandboxed": true in the reply). *)
-            Native.run ~mode:Native.Subprocess ~deadline ~limits:t.exec_limits ?cache_dir
-              ~repeat:e.Protocol.repeat p inputs
-          | Supervisor.Dlopen_trusted ->
-            (* Codegen is trusted in-process; subprocess runs (explicit
-               or fallback) still get the supervisor's rlimits. *)
-            Native.run ?mode:e.Protocol.exec_mode ~deadline ~limits:t.exec_limits
-              ?cache_dir ~repeat:e.Protocol.repeat p inputs
-          | Supervisor.Unsandboxed ->
-            Native.run ?mode:e.Protocol.exec_mode ~deadline ?cache_dir
-              ~repeat:e.Protocol.repeat p inputs
+      | Error (`Failed d) -> Protocol.error d
+      | Ok res ->
+        let verify_fields =
+          if not e.Protocol.verify then []
+          else begin
+            (* Both sides sort outputs by name, so positional zip holds. *)
+            let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+            let diff =
+              List.fold_left2
+                (fun acc (_, want) (_, got) -> Float.max acc (Image.max_abs_diff want got))
+                0.0 reference res.Native.outputs
+            in
+            [ ("max_abs_diff", Jsonx.Num diff) ]
+          end
         in
-        match result with
-        | Error d when is_supervised_failure d ->
-          record_exec_failure t ~use_breaker ~fp ~seed:e.Protocol.seed p d;
-          Protocol.error d
-        | Error d -> Protocol.error d
-        | Ok res ->
-          if use_breaker && Supervisor.Breaker.record_success t.breaker fp then
-            Metrics.decr_gauge t.metrics "quarantined_plans";
-          let verify_fields =
-            if not e.Protocol.verify then []
-            else begin
-              (* Both sides sort outputs by name, so positional zip holds. *)
-              let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
-              let diff =
-                List.fold_left2
-                  (fun acc (_, want) (_, got) -> Float.max acc (Image.max_abs_diff want got))
-                  0.0 reference res.Native.outputs
-              in
-              [ ("max_abs_diff", Jsonx.Num diff) ]
-            end
-          in
-          Protocol.ok
-            (plan_fields served
-            @ [
-                ( "exec",
-                  Jsonx.Obj
-                    [
-                      ("mode", Jsonx.Str (Native.mode_to_string res.Native.mode_used));
-                      ( "sandboxed",
-                        Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed) );
-                      ("quarantined", Jsonx.Bool false);
-                      ("artifact", Jsonx.Str res.Native.artifact);
-                      ("artifact_cached", Jsonx.Bool res.Native.cached);
-                      ("compile_ms", Jsonx.Num res.Native.compile_ms);
-                      ("exec_ms", Jsonx.Num res.Native.exec_ms);
-                      ( "samples_ms",
-                        Jsonx.Arr (List.map (fun s -> Jsonx.Num s) res.Native.samples_ms)
-                      );
-                      ( "warnings",
-                        Jsonx.Arr
-                          (List.map
-                             (fun d -> Jsonx.Str (Diag.to_string d))
-                             res.Native.warnings) );
-                    ] );
-                ( "outputs",
-                  Jsonx.Arr
-                    (List.map
-                       (output_json ~return_pixels:e.Protocol.return_pixels)
-                       res.Native.outputs) );
-              ]
-            @ verify_fields))))
+        Protocol.ok
+          (plan_fields served
+          @ [
+              ( "exec",
+                Jsonx.Obj
+                  [
+                    ("mode", Jsonx.Str (Native.mode_to_string res.Native.mode_used));
+                    ("sandboxed", sandboxed t);
+                    ("quarantined", Jsonx.Bool false);
+                    ("artifact", Jsonx.Str res.Native.artifact);
+                    ("artifact_cached", Jsonx.Bool res.Native.cached);
+                    ("compile_ms", Jsonx.Num res.Native.compile_ms);
+                    ("exec_ms", Jsonx.Num res.Native.exec_ms);
+                    ( "samples_ms",
+                      Jsonx.Arr (List.map (fun s -> Jsonx.Num s) res.Native.samples_ms) );
+                    ("warnings", warnings_json res.Native.warnings);
+                  ] );
+              ( "outputs",
+                Jsonx.Arr
+                  (List.map
+                     (output_json ~return_pixels:e.Protocol.return_pixels)
+                     res.Native.outputs) );
+            ]
+          @ verify_fields)))
 
 (* ---- streams ---- *)
 
-(* Pick and pin the native backend for a new stream under the server's
-   sandbox policy.  [Ok (None, warns)] is an interpreter-only stream —
-   the daemon stays useful on hosts without a C toolchain. *)
+(* Pin the native backend for a new stream under the server's sandbox
+   policy.  [Ok (None, warns)] is an interpreter-only stream — the
+   daemon stays useful on hosts without a C toolchain. *)
 let prepare_stream_plan t ~requested p =
-  let prepare mode = Native.prepare ?cache_dir:(native_cache_dir t) ~mode p in
-  let pinned =
-    match t.exec_sandbox with
-    | Supervisor.Sandboxed ->
-      (* Same rule as [fuse_exec]: only the supervised subprocess can be
-         resource-capped, so a requested dlopen mode is overridden. *)
-      Result.map (fun pl -> (pl, [])) (prepare Native.Subprocess)
-    | Supervisor.Dlopen_trusted | Supervisor.Unsandboxed -> (
-      match requested with
-      | Some m -> Result.map (fun pl -> (pl, [])) (prepare m)
-      | None -> (
-        match prepare Native.Dlopen with
-        | Ok pl -> Ok (pl, [])
-        | Error d when d.Diag.code = Diag.Exec_failed ->
-          Result.map
-            (fun pl -> (pl, [ { d with Diag.severity = Diag.Warning } ]))
-            (prepare Native.Subprocess)
-        | Error _ as e -> e))
-  in
-  match pinned with
-  | Ok (pl, warns) -> Ok (Some pl, warns)
+  match Native.prepare ?mode:(exec_mode t requested) ?cache_dir:(native_cache_dir t) p with
+  | Ok pl -> Ok (Some pl, Native.plan_warnings pl)
   | Error d when d.Diag.code = Diag.Toolchain_missing ->
     Ok
       ( None,
         [ Diag.warningf Diag.Toolchain_missing "%s; stream served by the interpreter" d.Diag.message ] )
   | Error _ as e -> e
-
-let warnings_json warns =
-  Jsonx.Arr (List.map (fun d -> Jsonx.Str (Diag.to_string d)) warns)
 
 let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
   Session_table.expire_idle t.streams;
@@ -472,7 +451,7 @@ let handle_stream_open t ~deadline (o : Protocol.stream_open_request) =
                   Jsonx.Obj
                     [
                       ("mode", Jsonx.Str mode);
-                      ("sandboxed", Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed));
+                      ("sandboxed", sandboxed t);
                       ("artifact", Jsonx.Str artifact);
                       ("artifact_cached", Jsonx.Bool cached);
                       ("compile_ms", Jsonx.Num compile_ms);
@@ -524,39 +503,20 @@ let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
       let outs = Ir.Eval.run_outputs ~params p (Ir.Eval.env_of_list bindings) in
       (outs, (Unix.gettimeofday () -. t0) *. 1000.)
     in
-    let use_breaker = t.exec_sandbox <> Supervisor.Unsandboxed in
-    let verdict =
-      match st.stream_plan with
-      | None -> Supervisor.Breaker.Allow
-      | Some _ ->
-        if use_breaker then Supervisor.Breaker.check t.breaker st.stream_fp
-        else Supervisor.Breaker.Allow
-    in
     (* (outputs, mode, quarantined, fallback, exec_ms, warnings,
        max_abs_diff when verify). *)
     let outputs, mode, quarantined, fallback, exec_ms, warns, diff =
-      match (verdict, st.stream_plan) with
-      | _, None ->
+      match st.stream_plan with
+      | None ->
         let outs, ms = interp () in
         (outs, "interpreter", false, false, ms, [], Some 0.0)
-      | Supervisor.Breaker.Quarantined qd, Some _ ->
-        Metrics.incr t.metrics "native_exec_fallbacks";
-        let warning =
-          Diag.warningf Diag.Exec_failed
-            "plan quarantined after %d consecutive native failures (last: %s); frame \
-             served by the interpreter"
-            (Supervisor.Breaker.threshold t.breaker)
-            (Diag.to_string qd)
-        in
-        let outs, ms = interp () in
-        (outs, "interpreter", true, true, ms, [ warning ], Some 0.0)
-      | (Supervisor.Breaker.Allow | Supervisor.Breaker.Probe), Some pl -> (
+      | Some pl -> (
         match
-          Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings
+          guarded_exec t ~fp:st.stream_fp ~seed:st.stream_seed
+            ~fallback_note:"frame served by the interpreter" p (fun () ->
+              Native.run_plan ~params ~deadline ~limits:t.exec_limits pl bindings)
         with
         | Ok res ->
-          if use_breaker && Supervisor.Breaker.record_success t.breaker st.stream_fp
-          then Metrics.decr_gauge t.metrics "quarantined_plans";
           let diff =
             if not s.Protocol.verify then None
             else begin
@@ -571,18 +531,19 @@ let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
           ( res.Native.outputs,
             Native.mode_to_string res.Native.mode_used,
             false, false, res.Native.exec_ms, [], diff )
-        | Error d ->
+        | Error failure ->
           (* The frame still ships: fall back to the interpreter on
              the SAME bindings, then advance — the stream's pixel
              history is identical to an all-interpreter run, which is
              exactly what the chaos oracle asserts. *)
-          if is_supervised_failure d then
-            record_exec_failure t ~use_breaker ~fp:st.stream_fp ~seed:st.stream_seed p d;
+          let quarantined, warning =
+            match failure with
+            | `Quarantined w -> (true, w)
+            | `Failed d -> (false, { d with Diag.severity = Diag.Warning })
+          in
           Metrics.incr t.metrics "native_exec_fallbacks";
           let outs, ms = interp () in
-          (outs, "interpreter", false, true, ms,
-           [ { d with Diag.severity = Diag.Warning } ], Some 0.0)
-      )
+          (outs, "interpreter", quarantined, true, ms, [ warning ], Some 0.0))
     in
     Session.advance session frame;
     Metrics.incr t.metrics "frames_pushed";
@@ -595,7 +556,7 @@ let handle_stream_push t ~deadline (s : Protocol.stream_push_request) =
            Jsonx.Obj
              [
                ("mode", Jsonx.Str mode);
-               ("sandboxed", Jsonx.Bool (t.exec_sandbox = Supervisor.Sandboxed));
+               ("sandboxed", sandboxed t);
                ("quarantined", Jsonx.Bool quarantined);
                ("fallback", Jsonx.Bool fallback);
                ("exec_ms", Jsonx.Num exec_ms);

@@ -69,9 +69,14 @@ type t
     connections down.
 
     [exec_sandbox] (default {!Supervisor.Sandboxed}) selects how
-    [fuse_exec] runs generated code; [exec_limits] (default
-    {!Supervisor.default_limits}) are the rlimits for sandboxed
-    children.  [crash_dir] (default [crash-corpus] under
+    [fuse_exec] and streams run generated code.  It is the one place
+    the backend is chosen: {!Supervisor.Sandboxed} runs every execution
+    as a supervised subprocess whatever ["exec_mode"] a request names;
+    {!Supervisor.Dlopen_trusted} passes the requested mode on, and no
+    request means {!Kfuse_exec.Native.prepare}'s auto choice (dlopen,
+    falling back to a subprocess).  Under both, [exec_limits] (default
+    {!Supervisor.default_limits}) are the rlimits for every subprocess
+    child, and the circuit breaker guards every native execution.  [crash_dir] (default [crash-corpus] under
     {!Kfuse_cache.Plan_cache.default_dir}) receives crash artifacts.
     [breaker_threshold] (default 3, >= 1) consecutive supervised
     failures quarantine a plan fingerprint; [breaker_cooldown_ms]

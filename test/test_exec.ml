@@ -297,7 +297,77 @@ let test_mode_string_roundtrip () =
         (Exec.Native.mode_of_string (Exec.Native.mode_to_string m) = Some m))
     [ Exec.Native.Dlopen; Exec.Native.Subprocess ];
   Alcotest.(check bool) "unknown mode rejected" true
-    (Exec.Native.mode_of_string "jit" = None)
+    (Exec.Native.mode_of_string "jit" = None);
+  Alcotest.(check bool) "auto requests no mode" true
+    (Exec.Native.mode_request_of_string "auto" = Some None);
+  Alcotest.(check bool) "a mode name requests that mode" true
+    (Exec.Native.mode_request_of_string "subprocess" = Some (Some Exec.Native.Subprocess));
+  Alcotest.(check bool) "unknown mode request rejected" true
+    (Exec.Native.mode_request_of_string "jit" = None)
+
+(* The one dlopen -> subprocess fallback lives in [Native.prepare]: a
+   shared object that cannot be loaded makes every auto caller (run,
+   prepare, a dlopen-trusted stream) land on the subprocess runner with
+   exactly one KF0904 warning, while an explicit dlopen fails typed. *)
+let test_native_auto_fallback () =
+  let _ = require_toolchain () in
+  let diag_code (d : Kfuse_util.Diag.t) = Kfuse_util.Diag.code_id d.Kfuse_util.Diag.code in
+  let check_fallback what mode warnings =
+    Alcotest.(check string) (what ^ ": fell back") "subprocess"
+      (Exec.Native.mode_to_string mode);
+    Alcotest.(check (list string)) (what ^ ": one KF0904 warning") [ "KF0904" ]
+      (List.map diag_code warnings)
+  in
+  let _, fused = fused_app "motion" ~width:16 ~height:12 in
+  with_cache_dir @@ fun cache_root ->
+  let cache_dir = Filename.concat cache_root "native" in
+  (match Exec.Native.compile ~cache_dir ~mode:Exec.Native.Dlopen fused with
+  | Error d -> Alcotest.failf "compile failed: %s" (Kfuse_util.Diag.to_string d)
+  | Ok (so, _, _) ->
+    let oc = open_out_bin so in
+    output_string oc "not an ELF object";
+    close_out oc);
+  let inputs = inputs_for fused in
+  let reference = Ir.Eval.run_outputs fused (Ir.Eval.env_of_list inputs) in
+  (match Exec.Native.run ~cache_dir fused inputs with
+  | Error d -> Alcotest.failf "auto run failed: %s" (Kfuse_util.Diag.to_string d)
+  | Ok r ->
+    check_fallback "run" r.Exec.Native.mode_used r.Exec.Native.warnings;
+    Alcotest.(check (float 0.0)) "run: bit-exact" 0.0 (max_diff reference r.Exec.Native.outputs));
+  (match Exec.Native.prepare ~cache_dir fused with
+  | Error d -> Alcotest.failf "auto prepare failed: %s" (Kfuse_util.Diag.to_string d)
+  | Ok plan ->
+    Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
+    check_fallback "prepare" (Exec.Native.plan_mode plan) (Exec.Native.plan_warnings plan);
+    match Exec.Native.run_plan plan inputs with
+    | Error d -> Alcotest.failf "run_plan failed: %s" (Kfuse_util.Diag.to_string d)
+    | Ok r ->
+      Alcotest.(check (float 0.0)) "prepare: bit-exact" 0.0
+        (max_diff reference r.Exec.Native.outputs));
+  (match Exec.Native.run ~mode:Exec.Native.Dlopen ~cache_dir fused inputs with
+  | Ok _ -> Alcotest.fail "an explicit dlopen of a corrupt object must fail"
+  | Error d -> Alcotest.(check string) "explicit dlopen: typed KF0904" "KF0904" (diag_code d));
+  (* The server's native cache is [native] under its plan-cache dir. *)
+  Test_stream.with_server ~cache_dir:cache_root
+    ~exec_sandbox:Exec.Supervisor.Dlopen_trusted
+  @@ fun socket _server ->
+  Kfuse_service.Client.with_connection ~socket (fun c ->
+      let opened =
+        Test_stream.expect_ok
+          (Kfuse_service.Client.stream_open c
+             (Test_stream.open_req ~width:16 ~height:12 "motion"))
+      in
+      let ex = Test_stream.field "exec" opened in
+      Alcotest.(check string) "stream_open: fell back" "subprocess"
+        (Test_stream.str (Test_stream.field "mode" ex));
+      (match Test_stream.field "warnings" ex with
+      | Kfuse_service.Jsonx.Arr [ Kfuse_service.Jsonx.Str w ] ->
+        Alcotest.(check bool) "stream_open: the KF0904 is reported" true (contains "KF0904" w)
+      | v ->
+        Alcotest.failf "stream_open: expected one warning, got %s"
+          (Kfuse_service.Jsonx.to_string v));
+      Kfuse_service.Client.stream_close c (Test_stream.stream_id opened))
+  |> Test_stream.expect_ok |> ignore
 
 (* ---- the exec supervisor ---- *)
 
@@ -608,7 +678,8 @@ let test_policy_string_roundtrip () =
     (fun p ->
       Alcotest.(check bool) "policy_of_string inverts policy_to_string" true
         (Sup.policy_of_string (Sup.policy_to_string p) = Some p))
-    [ Sup.Sandboxed; Sup.Dlopen_trusted; Sup.Unsandboxed ];
+    [ Sup.Sandboxed; Sup.Dlopen_trusted ];
+  Alcotest.(check bool) "off is no longer a policy" true (Sup.policy_of_string "off" = None);
   Alcotest.(check bool) "unknown policy rejected" true (Sup.policy_of_string "chroot" = None)
 
 (* ---- the opt-in fuzz oracle ---- *)
@@ -658,6 +729,8 @@ let suite =
       test_native_pow_faithful;
     Alcotest.test_case "malformed native calls raise" `Slow test_native_bad_calls_raise;
     Alcotest.test_case "exec mode string roundtrip" `Quick test_mode_string_roundtrip;
+    Alcotest.test_case "native auto mode falls back to subprocess on KF0904" `Slow
+      test_native_auto_fallback;
     Alcotest.test_case "supervisor: crash classifies KF0906" `Slow
       test_supervisor_crash_kf0906;
     Alcotest.test_case "supervisor: watchdog timeout classifies KF0905" `Slow

@@ -177,14 +177,14 @@ let temp_dir prefix =
   Unix.mkdir dir 0o700;
   dir
 
-let with_server ?cache_dir ?max_streams ?stream_queue ?stream_idle_ms
+let with_server ?cache_dir ?exec_sandbox ?max_streams ?stream_queue ?stream_idle_ms
     ?breaker_threshold f =
   let socket = temp_socket () in
   let cache = Cache.Plan_cache.create ?dir:cache_dir () in
   let crash_dir = temp_dir "kfuse-stream-crash" in
   Kfuse_util.Pool.with_pool 2 (fun pool ->
       match
-        Svc.Server.start ~socket ~cache ~pool ~crash_dir ?breaker_threshold
+        Svc.Server.start ~socket ~cache ~pool ~crash_dir ?exec_sandbox ?breaker_threshold
           ?max_streams ?stream_queue ?stream_idle_ms ()
       with
       | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
@@ -575,6 +575,88 @@ let test_stream_compile_once_bitexact () =
       Ok ())
   |> expect_ok
 
+(* The sandbox policy x requested mode contract, end to end: which
+   backend each policy picks for fuse_exec and stream_open, and the
+   exact key set of every [exec] object a client can see. *)
+let exec_req ?exec_mode app =
+  {
+    Protocol.fuse = fuse_req app;
+    exec_mode;
+    width = Some 16;
+    height = Some 12;
+    seed = 1;
+    repeat = 1;
+    verify = false;
+    return_pixels = false;
+  }
+
+let exec_keys reply =
+  match field "exec" reply with
+  | Jsonx.Obj fields -> List.sort String.compare (List.map fst fields)
+  | v -> Alcotest.failf "exec is not an object: %s" (Jsonx.to_string v)
+
+let test_policy_mode_contract () =
+  require_toolchain ();
+  let sorted = List.sort String.compare in
+  let check_modes ?exec_sandbox ?exec_mode ~mode ~sandboxed () =
+    with_server ?exec_sandbox ~breaker_threshold:1 @@ fun socket _server ->
+    Svc.Client.with_connection ~socket (fun c ->
+        let check what reply =
+          let ex = field "exec" reply in
+          Alcotest.(check string) (what ^ " mode") mode (str (field "mode" ex));
+          Alcotest.(check bool) (what ^ " sandboxed") true
+            (field "sandboxed" ex = Jsonx.Bool sandboxed)
+        in
+        let ran = expect_ok (Svc.Client.fuse_exec c (exec_req ?exec_mode "sobel")) in
+        check "fuse_exec" ran;
+        Alcotest.(check (list string)) "native fuse_exec exec keys"
+          (sorted
+             [ "mode"; "sandboxed"; "quarantined"; "artifact"; "artifact_cached";
+               "compile_ms"; "exec_ms"; "samples_ms"; "warnings" ])
+          (exec_keys ran);
+        let opened =
+          expect_ok
+            (Svc.Client.stream_open c
+               { (open_req ~width:16 ~height:12 "motion") with Protocol.exec_mode })
+        in
+        check "stream_open" opened;
+        Alcotest.(check (list string)) "stream_open exec keys"
+          (sorted
+             [ "mode"; "sandboxed"; "artifact"; "artifact_cached"; "compile_ms"; "warnings" ])
+          (exec_keys opened);
+        let pushed = expect_ok (Svc.Client.stream_push c (push_req (stream_id opened))) in
+        check "stream_push" pushed;
+        Alcotest.(check (list string)) "stream_push exec keys"
+          (sorted [ "mode"; "sandboxed"; "quarantined"; "fallback"; "exec_ms"; "warnings" ])
+          (exec_keys pushed);
+        ignore (expect_ok (Svc.Client.stream_close c (stream_id opened)));
+        (* One crash at threshold 1 quarantines the plan: the next
+           fuse_exec is answered by the interpreter. *)
+        Faults.with_spec "exec.crash/1" (fun () ->
+            match Svc.Client.fuse_exec c (exec_req ~exec_mode:Native.Subprocess "sobel") with
+            | Ok _ -> Alcotest.fail "a crashing plan must fail typed"
+            | Error d -> Alcotest.(check string) "crash typed KF0906" "KF0906" (code_of d));
+        let quarantined =
+          expect_ok (Svc.Client.fuse_exec c (exec_req ~exec_mode:Native.Subprocess "sobel"))
+        in
+        Alcotest.(check string) "quarantined mode" "interpreter"
+          (str (field "mode" (field "exec" quarantined)));
+        Alcotest.(check (list string)) "quarantined fuse_exec exec keys"
+          (sorted
+             [ "mode"; "quarantined"; "artifact"; "artifact_cached"; "compile_ms";
+               "exec_ms"; "samples_ms"; "warnings" ])
+          (exec_keys quarantined);
+        Ok ())
+    |> expect_ok
+  in
+  (* Default policy: a requested dlopen is overridden, visibly. *)
+  check_modes ~exec_mode:Native.Dlopen ~mode:"subprocess" ~sandboxed:true ();
+  (* dlopen-trusted: auto picks dlopen, an explicit mode is honoured. *)
+  check_modes ~exec_sandbox:Kfuse_exec.Supervisor.Dlopen_trusted ~mode:"dlopen"
+    ~sandboxed:false ();
+  check_modes ~exec_sandbox:Kfuse_exec.Supervisor.Dlopen_trusted
+    ~exec_mode:Native.Subprocess ~mode:"subprocess" ~sandboxed:false ()
+
 let suite =
   [
     Alcotest.test_case "temporal: naming convention and analysis" `Quick
@@ -605,4 +687,6 @@ let suite =
       test_stream_crash_quarantine_temporal;
     Alcotest.test_case "stream: one compile per stream, 10 frames bit-exact" `Slow
       test_stream_compile_once_bitexact;
+    Alcotest.test_case "exec: sandbox policy x requested mode contract" `Slow
+      test_policy_mode_contract;
   ]
