@@ -784,10 +784,10 @@ let serve_cmd =
   let sandbox_arg =
     exec_sandbox_arg
       "How fuse_exec and streams run generated native code.  $(b,on) \
-       (default): every execution is a supervised fork/exec subprocess \
-       under rlimits and a deadline watchdog — a plan that segfaults, loops \
-       or exhausts memory yields a typed KF0905/KF0906/KF0907 reply and \
-       never harms the daemon.  $(b,dlopen-trusted): allow the fast \
+       (default): every execution is a fresh child process, forked by the \
+       plan's fork-server, under rlimits and a deadline watchdog — a plan \
+       that segfaults, loops or exhausts memory yields a typed \
+       KF0905/KF0906/KF0907 reply and never harms the daemon.  $(b,dlopen-trusted): allow the fast \
        in-process dlopen path (trusts codegen); subprocess runs keep their \
        rlimits.  Under both, a plan that keeps failing is quarantined."
   in

@@ -17,18 +17,24 @@
  * kfused worker pool) keep making progress during a long kernel.
  */
 
+#define _GNU_SOURCE /* memfd_create, F_ADD_SEALS */
+
 #include <caml/alloc.h>
 #include <caml/fail.h>
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
 #include <caml/signals.h>
+#include <caml/unixsupport.h>
 
 #include <dlfcn.h>
 #include <errno.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
@@ -270,4 +276,104 @@ value kfuse_dl_call(value vfn, value vins, value vouts, value vparams)
   free(out_owned);
   free(par);
   CAMLreturn(Val_unit);
+}
+
+/* {1 Fork-server plumbing}
+ *
+ * A pinned subprocess plan keeps its planes in a memfd that kfused
+ * creates and sizes, and that only the fork-server maps: kfused moves
+ * pixels with pread/pwrite straight between the memfd and OCaml float
+ * arrays, so the planes never count against kfused's resident set and
+ * no file is ever named on disk.
+ *
+ * kfuse_memfd(name, size, seal): a CLOEXEC memfd of [size] bytes.
+ * With [seal], its size is sealed (no grow, no shrink, no further
+ * seals): a run-child writing through the mapping cannot enlarge it. */
+value kfuse_memfd(value vname, value vsize, value vseal)
+{
+  CAMLparam3(vname, vsize, vseal);
+  int fd = memfd_create(String_val(vname), MFD_CLOEXEC | MFD_ALLOW_SEALING);
+  if (fd < 0) caml_uerror("memfd_create", vname);
+  if (ftruncate(fd, (off_t)Long_val(vsize)) != 0
+      || (Bool_val(vseal)
+          && fcntl(fd, F_ADD_SEALS, F_SEAL_GROW | F_SEAL_SHRINK | F_SEAL_SEAL) != 0)) {
+    int e = errno;
+    close(fd);
+    caml_unix_error(e, "memfd_create", vname);
+  }
+  CAMLreturn(Val_int(fd));
+}
+
+/* pread/pwrite of a whole float array at a byte offset.  Large arrays
+ * are moved in a blocking section straight from/to the array's data
+ * (stable, see KFUSE_STABLE_LEN); small ones stay under the runtime
+ * lock, where nothing can move them. */
+static void kfuse_plane_io(int write_side, value vfd, value voff, value varr)
+{
+  int fd = Int_val(vfd);
+  off_t off = (off_t)Long_val(voff);
+  char *p = (char *)Op_val(varr);
+  size_t left = float_array_length(varr) * sizeof(double);
+  int release = float_array_length(varr) > KFUSE_STABLE_LEN;
+  int err = 0;
+  if (release) caml_enter_blocking_section();
+  while (left > 0) {
+    ssize_t n = write_side ? pwrite(fd, p, left, off) : pread(fd, p, left, off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) { err = n < 0 ? errno : EIO; break; }
+    p += n;
+    off += n;
+    left -= (size_t)n;
+  }
+  if (release) caml_leave_blocking_section();
+  if (err) caml_unix_error(err, write_side ? "pwrite" : "pread", Nothing);
+}
+
+value kfuse_plane_write(value vfd, value voff, value varr)
+{
+  CAMLparam3(vfd, voff, varr);
+  kfuse_plane_io(1, vfd, voff, varr);
+  CAMLreturn(Val_unit);
+}
+
+value kfuse_plane_read(value vfd, value voff, value varr)
+{
+  CAMLparam3(vfd, voff, varr);
+  kfuse_plane_io(0, vfd, voff, varr);
+  CAMLreturn(Val_unit);
+}
+
+/* Write a whole request with MSG_NOSIGNAL: a fork-server that exited
+ * (idle, or dead) is an EPIPE for the caller to classify, never a
+ * SIGPIPE for the process. */
+value kfuse_send_all(value vfd, value vbuf)
+{
+  CAMLparam2(vfd, vbuf);
+  char buf[256];
+  size_t len = caml_string_length(vbuf);
+  if (len > sizeof buf) caml_invalid_argument("kfuse_send_all: message too long");
+  memcpy(buf, Bytes_val(vbuf), len);
+  int fd = Int_val(vfd);
+  size_t done = 0;
+  int err = 0;
+  caml_enter_blocking_section();
+  while (done < len) {
+    ssize_t n = send(fd, buf + done, len - done, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) { err = errno; break; }
+    done += (size_t)n;
+  }
+  caml_leave_blocking_section();
+  if (err) caml_unix_error(err, "send", Nothing);
+  CAMLreturn(Val_unit);
+}
+
+/* A C signal number as OCaml's [Sys.sig*] numbering, which is what
+ * [Unix.WSIGNALED] carries.  The runtime exports the conversion but
+ * declares it only under CAML_INTERNALS. */
+CAMLextern int caml_rev_convert_signal_number(int);
+
+value kfuse_ocaml_signal(value vsig)
+{
+  return Val_int(caml_rev_convert_signal_number(Int_val(vsig)));
 }

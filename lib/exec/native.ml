@@ -15,8 +15,10 @@ module Lower_cpu = Kfuse_codegen.Lower_cpu
    interpreter-vs-native diff reduces to the compiler's own liberties.
    v3: when kf_scalar is float64 the entry point runs on the ABI
    buffers in place instead of allocating + converting per call — the
-   streaming per-frame path must not copy multi-megabyte images. *)
-let abi_version = 3
+   streaming per-frame path must not copy multi-megabyte images.
+   v4: a subprocess artifact is a fork-server ({!Supervisor.Forkserver})
+   running on planes in a memfd, not a file-marshalling [main IN OUT]. *)
+let abi_version = 4
 
 type mode = Dlopen | Subprocess
 
@@ -64,22 +66,6 @@ let rec mkdir_p dir =
     mkdir_p (Filename.dirname dir);
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kfuse-exec-%d-%x" (Unix.getpid ())
-         (Hashtbl.hash (Unix.gettimeofday ())))
-  in
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
 
 (* {1 Source generation: generated pipeline + mode-specific wrapper} *)
 
@@ -145,64 +131,34 @@ let dlopen_wrapper (p : Pipeline.t) =
   w "}\n";
   Buffer.contents b
 
-let subprocess_wrapper (p : Pipeline.t) =
+(* The planes memfd of a subprocess plan: the inputs, then the outputs,
+   then the parameters, all float64 in declaration order.  Never empty,
+   so the fork-server always has something to map. *)
+let plane_offsets (p : Pipeline.t) =
+  let npix = p.Pipeline.width * p.Pipeline.height in
+  let n_in = List.length p.Pipeline.inputs and n_out = List.length (Pipeline.outputs p) in
+  let input i = i * npix and output o = (n_in + o) * npix and param = (n_in + n_out) * npix in
+  let words = max 1 (param + List.length p.Pipeline.params) in
+  (input, output, param, words)
+
+let zygote_wrapper (p : Pipeline.t) =
   let b = Buffer.create 1024 in
   let w fmt = Printf.bprintf b fmt in
-  let n = C.sanitize p.Pipeline.name in
-  let inputs = p.Pipeline.inputs and outputs = Pipeline.outputs p in
-  let np = List.length p.Pipeline.params in
-  w "#include <stdio.h>\n\n";
-  w "// Standalone runner: argv[1] holds the packed native-endian float64\n";
-  w "// inputs (in declaration order) followed by %d parameter value%s;\n" np
-    (if np = 1 then "" else "s");
-  w "// the outputs are written to argv[2] in the same packed format.\n";
-  w "// The pipeline computes in kf_scalar; the float64 scratch buffer\n";
-  w "// converts after reading and before writing.\n";
-  w "int main(int argc, char** argv) {\n";
-  w "  if (argc != 3) { fprintf(stderr, \"usage: %%s IN OUT\\n\", argv[0]); return 2; }\n";
-  w "  const size_t npix = (size_t)%d * %d;\n" p.Pipeline.width p.Pipeline.height;
-  w "  size_t i;\n";
-  w "  double* kf_f64 = (double*)kf_malloc(npix * sizeof(double));\n";
-  w "  FILE* f = fopen(argv[1], \"rb\");\n";
-  w "  if (!f) { perror(argv[1]); return 3; }\n";
-  List.iter
-    (fun i ->
-      let v = "kf_in_" ^ C.sanitize i in
-      w "  kf_scalar* %s = (kf_scalar*)kf_malloc(npix * sizeof(kf_scalar));\n" v;
-      w "  if (fread(kf_f64, sizeof(double), npix, f) != npix) { fprintf(stderr, \
-         \"truncated input\\n\"); return 3; }\n";
-      w "  for (i = 0; i < npix; i++) %s[i] = (kf_scalar)kf_f64[i];\n" v)
-    inputs;
-  if np > 0 then begin
-    w "  double kf_params[%d];\n" np;
-    w "  if (fread(kf_params, sizeof(double), %d, f) != %d) { fprintf(stderr, \
-       \"truncated parameters\\n\"); return 3; }\n"
-      np np
-  end;
-  w "  fclose(f);\n";
-  List.iter
-    (fun o ->
-      w "  kf_scalar* %s = (kf_scalar*)kf_malloc(npix * sizeof(kf_scalar));\n"
-        ("kf_out_" ^ C.sanitize o))
-    outputs;
+  let input, output, param, words = plane_offsets p in
+  w "// ABI v4 fork-server entry: the pipeline runs in place on the mapped\n";
+  w "// planes memfd (inputs, outputs, parameters; float64 in declaration\n";
+  w "// order), so kf_scalar must be float64.\n";
+  w "_Static_assert(sizeof(kf_scalar) == sizeof(double), \"ABI v4 planes are float64\");\n";
+  w "const size_t kf_zygote_bytes = (size_t)%d * sizeof(double);\n" words;
+  w "void kf_zygote_run(double* planes) {\n";
   let args =
     runner_args p
-      ~input:(fun _ name -> "kf_in_" ^ C.sanitize name)
-      ~output:(fun _ name -> "kf_out_" ^ C.sanitize name)
-      ~param:(fun i _ -> Printf.sprintf "(kf_scalar)kf_params[%d]" i)
+      ~input:(fun i name -> Printf.sprintf "planes + %d /* %s */" (input i) name)
+      ~output:(fun i name -> Printf.sprintf "planes + %d /* %s */" (output i) name)
+      ~param:(fun i name -> Printf.sprintf "planes[%d] /* %s */" (param + i) name)
   in
-  w "  run_%s(%s);\n" n (String.concat ", " args);
-  w "  f = fopen(argv[2], \"wb\");\n";
-  w "  if (!f) { perror(argv[2]); return 4; }\n";
-  List.iter
-    (fun o ->
-      let v = "kf_out_" ^ C.sanitize o in
-      w "  for (i = 0; i < npix; i++) kf_f64[i] = (double)%s[i];\n" v;
-      w "  if (fwrite(kf_f64, sizeof(double), npix, f) != npix) { perror(argv[2]); \
-         return 4; }\n")
-    outputs;
-  w "  if (fclose(f) != 0) { perror(argv[2]); return 4; }\n";
-  w "  return 0;\n}\n";
+  w "  run_%s(%s);\n" (C.sanitize p.Pipeline.name) (String.concat ", " args);
+  w "}\n";
   Buffer.contents b
 
 let source ?tile ~mode (p : Pipeline.t) =
@@ -212,7 +168,7 @@ let source ?tile ~mode (p : Pipeline.t) =
      (input quantization + final output store), orders of magnitude
      inside the tolerance gate even for numerically touchy kernels. *)
   let base = Lower_cpu.emit_pipeline ?tile ~prec:C.Double p in
-  let wrapper = match mode with Dlopen -> dlopen_wrapper p | Subprocess -> subprocess_wrapper p in
+  let wrapper = match mode with Dlopen -> dlopen_wrapper p | Subprocess -> zygote_wrapper p in
   base ^ "\n" ^ wrapper
 
 (* {1 Compile cache} *)
@@ -233,6 +189,9 @@ let artifact_key ~tc ~mode ~tile ~src (p : Pipeline.t) =
             Printf.sprintf "kfuse-native-abi-v%d" abi_version;
             Fingerprint.exact p;
             mode_to_string mode;
+            (match mode with
+            | Dlopen -> ""
+            | Subprocess -> Digest.to_hex (Digest.string Forkserver_runtime.source));
             tile_s;
             "prec:double";
             Toolchain.id tc;
@@ -282,6 +241,71 @@ let single_flight ~dest build =
   in
   acquire ()
 
+(* One supervised compiler run, [cc args] with [-o <tmp>] appended,
+   published atomically at [dest]; returns the compiler's wall time.
+   [src_path] names the source in a KF0903. *)
+let run_cc ~tc ~dest ~src_path args =
+  let attempt = Atomic.fetch_and_add compile_attempt 1 in
+  let tmp = Printf.sprintf "%s.tmp.%d.%d" dest (Unix.getpid ()) attempt in
+  let err_path = Printf.sprintf "%s.log.%d.%d" dest (Unix.getpid ()) attempt in
+  (* Supervised fork/exec — no shell — with a wall cap so a wedged
+     compiler cannot hang the daemon.  No rlimits: compilers
+     legitimately need memory, and [fault_injection:false] keeps an
+     armed [exec.*] chaos point aimed at executions, not at the
+     compiler. *)
+  let r =
+    Supervisor.run
+      ~limits:{ Supervisor.no_limits with Supervisor.wall_ms = Some 120_000. }
+      ~fault_injection:false ~stderr_path:err_path
+      ~argv:((tc.Toolchain.cc :: args) @ [ "-o"; tmp ])
+      ()
+  in
+  let log = r.Supervisor.stderr_tail in
+  (try Sys.remove err_path with Sys_error _ -> ());
+  match r.Supervisor.status with
+  | Error f ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    let reason =
+      match f with
+      | Supervisor.Nonzero_exit { code } -> Printf.sprintf "exited with %d" code
+      | Supervisor.Timeout { wall_ms; _ } -> Printf.sprintf "timed out after %.0f ms" wall_ms
+      | Supervisor.Crashed { signal } -> "crashed with " ^ signal
+      | Supervisor.Limit { what; _ } -> "exceeded " ^ what
+      | Supervisor.Spawn_failed { reason } -> reason
+    in
+    Error
+      (Diag.errorf Diag.Compile_failed "%s %s compiling generated C (%s):\n%s" tc.Toolchain.cc
+         reason src_path log)
+  | Ok () ->
+    (* Atomic publish: concurrent builders race benignly on rename. *)
+    Sys.rename tmp dest;
+    Ok r.Supervisor.wall_ms
+
+(* [dir/kf-<key><ext>] built from [src] once per key across threads:
+   [(path, compile_ms, cached)].  The source is kept next to it, so a
+   KF0903 message can point at a file a human can feed to the compiler
+   by hand. *)
+let cached_build ~dir ~key ~ext ~src build =
+  let dest = Filename.concat dir ("kf-" ^ key ^ ext) in
+  if Sys.file_exists dest then Ok (dest, 0., true)
+  else
+    single_flight ~dest @@ fun () ->
+    let src_path = Filename.concat dir ("kf-" ^ key ^ ".c") in
+    write_file src_path src;
+    Result.map (fun ms -> (dest, ms, false)) (build ~dest ~src_path)
+
+(* The fork-server runtime is the same C for every subprocess artifact:
+   it is compiled once per cache directory and toolchain, and each
+   artifact links the object, which keeps it off every plan's compile.
+   Its work per run is a fork and a few syscalls, so it is built
+   unoptimized: that once-per-cache compile sits on the first plan's
+   path (a cold stream_open). *)
+let runtime_object ~tc ~dir =
+  let src = Forkserver_runtime.source in
+  let key = "runtime-" ^ Digest.to_hex (Digest.string (Toolchain.id tc ^ "\n" ^ src)) in
+  cached_build ~dir ~key ~ext:".o" ~src (fun ~dest ~src_path ->
+      run_cc ~tc ~dest ~src_path [ "-O0"; "-c"; src_path ])
+
 let compile ?cache_dir ?tile ~mode (p : Pipeline.t) =
   match Toolchain.find () with
   | Error d -> Error d
@@ -291,53 +315,20 @@ let compile ?cache_dir ?tile ~mode (p : Pipeline.t) =
     let src = source ?tile ~mode p in
     let key = artifact_key ~tc ~mode ~tile ~src p in
     let ext = match mode with Dlopen -> ".so" | Subprocess -> ".bin" in
-    let dest = Filename.concat dir ("kf-" ^ key ^ ext) in
-    if Sys.file_exists dest then Ok (dest, 0., true)
-    else
-      single_flight ~dest @@ fun () ->
-      (* The source is kept next to the artifact: a KF0903 message can
-         point at a file a human can feed to the compiler by hand. *)
-      let src_path = Filename.concat dir ("kf-" ^ key ^ ".c") in
-      write_file src_path src;
-      let attempt = Atomic.fetch_and_add compile_attempt 1 in
-      let tmp = Printf.sprintf "%s.tmp.%d.%d" dest (Unix.getpid ()) attempt in
-      let err_path = Printf.sprintf "%s.log.%d.%d" dest (Unix.getpid ()) attempt in
-      let argv =
-        (tc.Toolchain.cc :: Toolchain.flags tc ~shared:(mode = Dlopen))
-        @ [ "-o"; tmp; src_path; "-lm" ]
-      in
-      (* Supervised fork/exec — no shell — with a wall cap so a wedged
-         compiler cannot hang the daemon.  No rlimits: compilers
-         legitimately need memory, and [fault_injection:false] keeps an
-         armed [exec.*] chaos point aimed at executions, not at the
-         compiler. *)
-      let r =
-        Supervisor.run
-          ~limits:{ Supervisor.no_limits with Supervisor.wall_ms = Some 120_000. }
-          ~fault_injection:false ~stderr_path:err_path ~argv ()
-      in
-      let log = r.Supervisor.stderr_tail in
-      (try Sys.remove err_path with Sys_error _ -> ());
-      match r.Supervisor.status with
-      | Error f ->
-        (try Sys.remove tmp with Sys_error _ -> ());
-        let reason =
-          match f with
-          | Supervisor.Nonzero_exit { code } -> Printf.sprintf "exited with %d" code
-          | Supervisor.Timeout { wall_ms; _ } ->
-            Printf.sprintf "timed out after %.0f ms" wall_ms
-          | Supervisor.Crashed { signal } -> "crashed with " ^ signal
-          | Supervisor.Limit { what; _ } -> "exceeded " ^ what
-          | Supervisor.Spawn_failed { reason } -> reason
-        in
-        Error
-          (Diag.errorf Diag.Compile_failed "%s %s compiling generated C (%s):\n%s"
-             tc.Toolchain.cc reason src_path log)
-      | Ok () ->
-        (* Atomic publish: concurrent builders race benignly on rename. *)
-        Sys.rename tmp dest;
-        Atomic.incr compile_count;
-        Ok (dest, r.Supervisor.wall_ms, false)
+    let built =
+      cached_build ~dir ~key ~ext ~src (fun ~dest ~src_path ->
+          let runtime =
+            match mode with
+            | Dlopen -> Ok ([], 0.)
+            | Subprocess -> Result.map (fun (o, ms, _) -> ([ o ], ms)) (runtime_object ~tc ~dir)
+          in
+          Result.bind runtime (fun (objs, runtime_ms) ->
+              let flags = Toolchain.flags tc ~shared:(mode = Dlopen) in
+              Result.map (fun ms -> runtime_ms +. ms)
+                (run_cc ~tc ~dest ~src_path ((flags @ (src_path :: objs)) @ [ "-lm" ]))))
+    in
+    (match built with Ok (_, _, false) -> Atomic.incr compile_count | _ -> ());
+    built
 
 (* {1 Marshalling} *)
 
@@ -455,66 +446,46 @@ let exec_entry ~deadline ~entry ~artifact ~repeat (p : Pipeline.t) inputs pvals 
     Error (sample_deadline_diag ~artifact ~done_:(List.length !samples) ~repeat)
   else Ok (finish_outputs p out_names outs, List.rev !samples)
 
-let pack_float64 buf f = Buffer.add_int64_ne buf (Int64.bits_of_float f)
-
-let exec_subprocess ~deadline ~limits ~artifact ~repeat (p : Pipeline.t) inputs pvals =
+(* One fresh run-child per sample, forked by the plan's fork-server on
+   planes it already maps: the inputs and parameters are written into
+   the memfd once, the outputs read back once after the last sample. *)
+let exec_forked ~deadline ~limits ~artifact ~repeat fs (p : Pipeline.t) inputs pvals =
+  let module Fs = Supervisor.Forkserver in
   let npix = p.Pipeline.width * p.Pipeline.height in
+  let input, output, param, _ = plane_offsets p in
   let out_names = Pipeline.outputs p in
-  let n_out = List.length out_names in
-  with_temp_dir (fun dir ->
-      let in_path = Filename.concat dir "in.f64" in
-      let out_path = Filename.concat dir "out.f64" in
-      let err_path = Filename.concat dir "stderr" in
-      let buf = Buffer.create (8 * ((npix * List.length p.Pipeline.inputs) + List.length pvals)) in
-      List.iter
-        (fun n -> Array.iter (pack_float64 buf) (flatten (List.assoc n inputs)))
-        p.Pipeline.inputs;
-      List.iter (pack_float64 buf) pvals;
-      write_file in_path (Buffer.contents buf);
-      (* Each sample is a supervised fork/exec child (no shell): rlimits
-         between fork and exec, a watchdog on the request deadline, and
-         typed KF0905/KF0906/KF0907 classification when it dies. *)
-      let argv = [ artifact; in_path; out_path ] in
-      let samples = ref [] in
-      let failed = ref None in
-      for i = 1 to repeat do
-        if !failed = None then
-          if i > 1 && Deadline.expired deadline then
-            failed :=
-              Some (sample_deadline_diag ~artifact ~done_:(List.length !samples) ~repeat)
-          else begin
-            let r = Supervisor.run ~deadline ~limits ~stderr_path:err_path ~argv () in
-            match
-              Supervisor.failure_diag ~what:(Printf.sprintf "compiled plan %s" artifact) r
-            with
-            | Some d -> failed := Some d
-            | None -> samples := r.Supervisor.wall_ms :: !samples
-          end
-      done;
-      match !failed with
+  let offset words = 8 * words in
+  let what = Printf.sprintf "compiled plan %s" artifact in
+  let rec sample i acc =
+    if i > repeat then Ok (List.rev acc)
+    else if i > 1 && Deadline.expired deadline then
+      Error (sample_deadline_diag ~artifact ~done_:(List.length acc) ~repeat)
+    else
+      let r = Fs.run fs ~deadline ~limits in
+      match Supervisor.failure_diag ~what r with
       | Some d -> Error d
-      | None -> (
-        let expected = 8 * npix * n_out in
-        match open_in_bin out_path with
-        | exception Sys_error msg ->
-          Error (Diag.errorf Diag.Exec_failed "cannot read plan output: %s" msg)
-        | ic ->
-          Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-              if in_channel_length ic <> expected then
-                Error
-                  (Diag.errorf Diag.Exec_failed
-                     "compiled plan %s wrote %d bytes, expected %d" artifact
-                     (in_channel_length ic) expected)
-              else begin
-                let bytes = really_input_string ic expected |> Bytes.of_string in
-                let bufs =
-                  Array.init n_out (fun o ->
-                      Array.init npix (fun i ->
-                          Int64.float_of_bits
-                            (Bytes.get_int64_ne bytes (8 * ((o * npix) + i)))))
-                in
-                Ok (finish_outputs p out_names bufs, List.rev !samples)
-              end)))
+      | None -> sample (i + 1) (r.Supervisor.wall_ms :: acc)
+  in
+  let load o =
+    let a = Array.create_float npix in
+    Fs.load fs ~offset:(offset (output o)) a;
+    a
+  in
+  Fs.exclusive fs @@ fun () ->
+  try
+    List.iteri
+      (fun i n -> Fs.store fs ~offset:(offset (input i)) (flatten (List.assoc n inputs)))
+      p.Pipeline.inputs;
+    if pvals <> [] then Fs.store fs ~offset:(offset param) (Array.of_list pvals);
+    Result.map
+      (fun samples ->
+        let outs = Array.of_list (List.mapi (fun o _ -> load o) out_names) in
+        (finish_outputs p out_names outs, samples))
+      (sample 1 [])
+  with Unix.Unix_error (e, fn, _) ->
+    Error
+      (Diag.errorf Diag.Exec_failed "moving the planes of compiled plan %s: %s: %s" artifact fn
+         (Unix.error_message e))
 
 (* {1 Pinned plans} *)
 
@@ -527,21 +498,25 @@ type plan = {
   plan_cached : bool;
   plan_compile_ms : float;
   plan_warnings : Diag.t list;
-  plan_loaded : loaded option;  (* Some for Dlopen, None for Subprocess *)
+  plan_backend : backend;
   mutable plan_released : bool;
 }
+
+and backend = Loaded of loaded | Forked of Supervisor.Forkserver.t
 
 let pin ?tile ?cache_dir ~mode (p : Pipeline.t) =
   match compile ?cache_dir ?tile ~mode p with
   | Error d -> Error d
   | Ok (artifact, compile_ms, cached) ->
-    let loaded =
+    let backend =
       match mode with
-      | Subprocess -> Ok None
-      | Dlopen -> Result.map Option.some (load_artifact artifact)
+      | Subprocess ->
+        let _, _, _, words = plane_offsets p in
+        Ok (Forked (Supervisor.Forkserver.create ~artifact ~bytes:(8 * words)))
+      | Dlopen -> Result.map (fun l -> Loaded l) (load_artifact artifact)
     in
     Result.map
-      (fun plan_loaded ->
+      (fun plan_backend ->
         {
           plan_pipeline = p;
           plan_mode = mode;
@@ -549,10 +524,10 @@ let pin ?tile ?cache_dir ~mode (p : Pipeline.t) =
           plan_cached = cached;
           plan_compile_ms = compile_ms;
           plan_warnings = [];
-          plan_loaded;
+          plan_backend;
           plan_released = false;
         })
-      loaded
+      backend
 
 (* The one dlopen -> subprocess fallback: when no mode is requested an
    in-process load failure (KF0904) retries as a subprocess runner,
@@ -575,10 +550,17 @@ let plan_compile_ms plan = plan.plan_compile_ms
 let plan_warnings plan = plan.plan_warnings
 let plan_pipeline plan = plan.plan_pipeline
 
+let plan_pid plan =
+  match plan.plan_backend with Forked fs -> Supervisor.Forkserver.pid fs | Loaded _ -> None
+
+let spawns = Supervisor.Forkserver.spawns
+
 let release plan =
   if not plan.plan_released then begin
     plan.plan_released <- true;
-    match plan.plan_loaded with None -> () | Some l -> dl_close l.handle
+    match plan.plan_backend with
+    | Loaded l -> dl_close l.handle
+    | Forked fs -> Supervisor.Forkserver.release fs
   end
 
 let run_plan ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none)
@@ -590,9 +572,9 @@ let run_plan ?(params = []) ?(repeat = 1) ?(deadline = Deadline.none)
   let pvals = param_values p params in
   let artifact = plan.plan_artifact in
   let exec =
-    match plan.plan_loaded with
-    | Some l -> exec_entry ~deadline ~entry:l.entry ~artifact ~repeat p inputs pvals
-    | None -> exec_subprocess ~deadline ~limits ~artifact ~repeat p inputs pvals
+    match plan.plan_backend with
+    | Loaded l -> exec_entry ~deadline ~entry:l.entry ~artifact ~repeat p inputs pvals
+    | Forked fs -> exec_forked ~deadline ~limits ~artifact ~repeat fs p inputs pvals
   in
   match exec with
   | Error d -> Error d

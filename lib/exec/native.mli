@@ -13,12 +13,14 @@
       small C stub against the fixed entry point
       [void kfuse_entry(const double** ins, double** outs, const double* params)]
       (ABI v2, appended to the generated source).  Cheapest per call.
-    - {!Subprocess}: build a standalone executable whose [main] reads
-      packed native-endian float64 inputs+parameters from a file and
-      writes the outputs to another; run it as a child process.  Slower
-      (process spawn + file I/O per run) but survives environments where
-      loading untrusted-at-build-time objects into the host process is
-      unwanted.
+    - {!Subprocess}: build a standalone executable that is a
+      fork-server ({!Supervisor.Forkserver}, ABI v4): started once per
+      pinned plan, it maps a memfd holding the plan's float64 input,
+      output and parameter planes and forks one fresh, rlimited
+      run-child per execution.  The host copies planes in and out with
+      [pwrite]/[pread] and never maps them.  A few milliseconds more
+      than {!Dlopen} per call, but generated code never runs in the
+      host process and every run can be capped and killed.
 
     There is one execution lifecycle: {!prepare} compiles (or reuses)
     and pins a {!plan}, {!run_plan} executes it, {!release} drops it.
@@ -32,10 +34,10 @@
     hit skips the compiler entirely.  The generated source is kept next
     to each artifact for debugging.
 
-    Both the compiler invocation and every {!Subprocess} execution are
-    supervised fork/exec children ({!Supervisor}) — no shell anywhere —
-    so they can be killed on a deadline and, when [limits] are given,
-    sandboxed with rlimits.
+    The compiler invocation is a supervised fork/exec child and every
+    {!Subprocess} execution a supervised fork of the plan's server
+    ({!Supervisor}) — no shell anywhere — so they can be killed on a
+    deadline and, when [limits] are given, sandboxed with rlimits.
 
     Failures are typed: no toolchain is [KF0902]
     ({!Kfuse_util.Diag.Toolchain_missing}), a compiler rejection is
@@ -83,7 +85,7 @@ type run_result = {
 (** [source ?tile ~mode p] is the complete C translation unit compiled
     for [p] in [mode]: the {!Kfuse_codegen.Lower_cpu.emit_pipeline}
     output plus the ABI-v2 [kfuse_entry] wrapper ({!Dlopen}) or the
-    file-marshalling [main] ({!Subprocess}). *)
+    fork-server entry and [main] ({!Subprocess}). *)
 val source : ?tile:int * int -> mode:mode -> Pipeline.t -> string
 
 (** [compile ?cache_dir ?tile ~mode p] ensures a compiled artifact for
@@ -112,10 +114,10 @@ val compile :
     [deadline] (default {!Deadline.none}) bounds the whole execution:
     it is checked between [repeat] timing samples in both modes (a
     large [repeat] stops early with [KF0905] instead of overrunning),
-    and in {!Subprocess} mode it also feeds the supervisor's watchdog,
-    so a wedged child is killed rather than outlived.  [limits]
-    (default {!Supervisor.no_limits}) applies rlimits to {!Subprocess}
-    children; {!Dlopen} runs in-process and cannot be resource-capped —
+    and in {!Subprocess} mode it also feeds the fork-server's
+    watchdog, so a wedged run-child is killed rather than outlived.
+    [limits] (default {!Supervisor.no_limits}) applies rlimits to every
+    {!Subprocess} run-child; {!Dlopen} runs in-process and cannot be resource-capped —
     that is exactly why [kfused] defaults to the sandboxed subprocess
     path.  [mode] is as for {!prepare}. *)
 val run :
@@ -136,13 +138,16 @@ val run :
     executions of the same pipeline — the unit of work of a stream
     session.  {!prepare} pays for the compile-cache lookup (and, in
     {!Dlopen} mode, the [dlopen]+[dlsym]) exactly once; {!run_plan} is
-    then a bare entry-point call ({!Dlopen}) or a supervised spawn of
-    the already-built executable ({!Subprocess}), with no cache lookup,
-    no loader traffic and no compiler anywhere on the per-frame path. *)
+    then a bare entry-point call ({!Dlopen}) or one fork of the plan's
+    fork-server ({!Subprocess}; the server itself is started by the
+    first {!run_plan}, exits after 250 ms idle and is restarted on
+    demand), with no cache lookup, no loader traffic, no exec, no file
+    and no compiler anywhere on the per-frame path. *)
 
 type plan
 (** A compiled pipeline pinned in memory: artifact path plus, in
-    {!Dlopen} mode, the loaded handle and resolved entry point. *)
+    {!Dlopen} mode, the loaded handle and resolved entry point, in
+    {!Subprocess} mode its {!Supervisor.Forkserver}. *)
 
 (** [prepare ?mode ?tile ?cache_dir p] compiles (or reuses) the
     artifact for [p] and pins it.  In {!Dlopen} mode the shared object
@@ -178,6 +183,9 @@ val plan_pipeline : plan -> Pipeline.t
     pipeline's inputs, failures are typed [KF0904..KF0907]), except
     nothing is compiled or loaded: [compile_ms] is always [0],
     [warnings] is empty and [cached] reports what {!prepare} saw.
+    Executions of one plan are serialized; in {!Subprocess} mode every
+    [repeat] sample is a fresh run-child, and a fork-server that died
+    mid-run fails that run with [KF0904] and is restarted by the next.
     @raise Invalid_argument after {!release}. *)
 val run_plan :
   ?params:(string * float) list ->
@@ -189,7 +197,17 @@ val run_plan :
   (run_result, Diag.t) result
 
 val release : plan -> unit
-(** Drop the pinned handle ([dlclose] in {!Dlopen} mode).  Idempotent. *)
+(** Drop the pinned handle: [dlclose] in {!Dlopen} mode; in
+    {!Subprocess} mode stop and reap the fork-server and close its
+    memfds.  Idempotent. *)
+
+val plan_pid : plan -> int option
+(** The pid of a {!Subprocess} plan's fork-server while it has one. *)
+
+val spawns : unit -> int
+(** Process-wide count of fork-servers started since startup: one per
+    pinned {!Subprocess} plan, plus one per restart after an idle exit
+    or a death. *)
 
 val compiles : unit -> int
 (** Process-wide count of real compiler invocations (compile-cache

@@ -69,16 +69,27 @@ let signal_name s =
    and a misbehaving child can write arbitrarily much. *)
 let stderr_tail_limit = 4096
 
-let read_tail ?(limit = stderr_tail_limit) path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ""
-  | ic ->
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        let n = in_channel_length ic in
-        let keep = min n limit in
-        seek_in ic (n - keep);
-        let s = really_input_string ic keep in
-        if keep < n then "[... truncated ...]\n" ^ s else s)
+let tail_of_fd ?(limit = stderr_tail_limit) fd =
+  let n = (Unix.fstat fd).Unix.st_size in
+  let keep = min n limit in
+  if keep = 0 then ""
+  else begin
+    ignore (Unix.lseek fd (n - keep) Unix.SEEK_SET);
+    let buf = Bytes.create keep in
+    let rec fill off =
+      if off >= keep then off
+      else match Unix.read fd buf off (keep - off) with 0 -> off | k -> fill (off + k)
+    in
+    let s = Bytes.sub_string buf 0 (fill 0) in
+    if keep < n then "[... truncated ...]\n" ^ s else s
+  end
+
+let read_tail ?limit path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> ""
+  | fd ->
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        try tail_of_fd ?limit fd with Unix.Unix_error _ -> "")
 
 (* {1 Chaos misbehaviour (exec.* fault points)} *)
 
@@ -113,12 +124,23 @@ let misbehave_code = function
   | Fault_hang -> 2
   | Fault_oom -> 3
 
+(* Fault decisions happen in the parent: the Faults registry holds a
+   mutex, which must not be touched between fork and exec. *)
+let draw_misbehave () =
+  if Faults.fires "exec.crash" then Fault_crash
+  else if Faults.fires "exec.hang" then Fault_hang
+  else if Faults.fires "exec.oom" then Fault_oom
+  else No_fault
+
+let limit_value = function None -> -1 | Some v -> v
+
 let spawn ~limits ~misbehave ~stdout_fd ~stderr_fd ~devnull argv =
   match argv with
   | [] -> Error "empty argv"
   | _ -> (
-    let lim = function None -> -1 | Some v -> v in
-    let lims = [| lim limits.cpu_s; lim limits.mem_bytes; lim limits.fsize_bytes |] in
+    let lims =
+      [| limit_value limits.cpu_s; limit_value limits.mem_bytes; limit_value limits.fsize_bytes |]
+    in
     match
       raw_spawn (Array.of_list argv)
         (devnull, stdout_fd, stderr_fd)
@@ -198,28 +220,26 @@ let classify ~limits ~misbehave ~watchdog_fired ~escalated ~wall status =
 
 (* {1 Supervised run} *)
 
-let run ?(deadline = Deadline.none) ?(limits = no_limits) ?(grace_ms = 500.)
+let default_grace_ms = 500.
+
+let wall_budget ~deadline ~(limits : limits) =
+  match (Deadline.remaining_ms deadline, limits.wall_ms) with
+  | None, w -> w
+  | Some r, None -> Some r
+  | Some r, Some w -> Some (Float.min r w)
+
+let expired_run =
+  { status = Error (Timeout { wall_ms = 0.; escalated = false }); wall_ms = 0.; stderr_tail = "" }
+
+let run ?(deadline = Deadline.none) ?(limits = no_limits) ?(grace_ms = default_grace_ms)
     ?(fault_injection = true) ?stdout_path ?stderr_path ~argv () =
-  let wall_ms =
-    match (Deadline.remaining_ms deadline, limits.wall_ms) with
-    | None, w -> w
-    | Some r, None -> Some r
-    | Some r, Some w -> Some (Float.min r w)
-  in
+  let wall_ms = wall_budget ~deadline ~limits in
   match wall_ms with
   | Some w when w <= 0. ->
     (* The deadline is already gone: don't even spawn. *)
-    { status = Error (Timeout { wall_ms = 0.; escalated = false }); wall_ms = 0.; stderr_tail = "" }
+    expired_run
   | _ ->
-    (* Fault decisions happen in the parent: the Faults registry holds a
-       mutex, which must not be touched between fork and exec. *)
-    let misbehave =
-      if not fault_injection then No_fault
-      else if Faults.fires "exec.crash" then Fault_crash
-      else if Faults.fires "exec.hang" then Fault_hang
-      else if Faults.fires "exec.oom" then Fault_oom
-      else No_fault
-    in
+    let misbehave = if fault_injection then draw_misbehave () else No_fault in
     let own_stderr = stderr_path = None in
     let err_path =
       match stderr_path with Some p -> p | None -> Filename.temp_file "kfuse-sup" ".err"
@@ -267,6 +287,258 @@ let failure_diag ~what r =
           tail
       | Nonzero_exit { code } -> Diag.errorf Diag.Exec_failed "%s exited with %d%s" what code tail
       | Spawn_failed { reason } -> Diag.errorf Diag.Exec_failed "%s: %s%s" what reason tail)
+
+(* {1 Fork-server of a pinned plan}
+
+   [run] spawns and execs per run; a pinned subprocess plan instead
+   keeps one fork-server (the artifact's own [main], see
+   forkserver_runtime.c) that forks a fresh run-child per run.  The
+   rlimits, the chaos misbehaviours, the watchdog and the
+   classification are those of [run]; only the exec and the files are
+   gone. *)
+module Forkserver = struct
+  (* Mirrors forkserver_runtime.c. *)
+  let magic = 0x4b465a34L (* "KFZ4" *)
+  let request_words = 8
+  let reply_words = 6
+
+  (* {1 Stubs (kfuse_exec_stubs.c)} *)
+
+  external memfd : string -> int -> bool -> Unix.file_descr = "kfuse_memfd"
+  external plane_write : Unix.file_descr -> int -> float array -> unit = "kfuse_plane_write"
+  external plane_read : Unix.file_descr -> int -> float array -> unit = "kfuse_plane_read"
+  external send_all : Unix.file_descr -> bytes -> unit = "kfuse_send_all"
+  external ocaml_signal : int -> int = "kfuse_ocaml_signal"
+
+  let spawn_count = Atomic.make 0
+  let spawns () = Atomic.get spawn_count
+
+  type server = { pid : int; sock : Unix.file_descr }
+
+  type t = {
+    artifact : string;
+    bytes : int;
+    lock : Mutex.t;
+    mutable fds : (Unix.file_descr * Unix.file_descr) option;  (* planes, stderr *)
+    mutable server : server option;
+    mutable released : bool;
+  }
+
+  let create ~artifact ~bytes =
+    { artifact; bytes; lock = Mutex.create (); fds = None; server = None; released = false }
+
+  let exclusive t f =
+    Mutex.lock t.lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
+    if t.released then invalid_arg "Forkserver: already released";
+    f ()
+
+  (* The planes memfd, sealed at the size the artifact expects, and the
+     stderr memfd: made on first use, kept across server restarts. *)
+  let fds t =
+    match t.fds with
+    | Some p -> p
+    | None ->
+      let planes = memfd "kfuse-planes" t.bytes true in
+      let err =
+        try memfd "kfuse-stderr" 0 false
+        with e ->
+          Unix.close planes;
+          raise e
+      in
+      t.fds <- Some (planes, err);
+      (planes, err)
+
+  let store t ~offset a = plane_write (fst (fds t)) offset a
+  let load t ~offset a = plane_read (fst (fds t)) offset a
+  let stderr_tail t = try tail_of_fd (snd (fds t)) with Unix.Unix_error _ -> ""
+
+  let pid t = Option.map (fun s -> s.pid) t.server
+
+  let start t =
+    let planes, err = fds t in
+    let mine, theirs = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    (* The server gets the socket, the planes and stderr as fds 0-2. *)
+    let spawned =
+      spawn ~limits:no_limits ~misbehave:No_fault ~devnull:theirs ~stdout_fd:planes
+        ~stderr_fd:err [ t.artifact ]
+    in
+    Unix.close theirs;
+    match spawned with
+    | Error _ as e ->
+      Unix.close mine;
+      e
+    | Ok pid ->
+      Atomic.incr spawn_count;
+      let s = { pid; sock = mine } in
+      t.server <- Some s;
+      Ok s
+
+  let rec waitpid_status pid =
+    match Unix.waitpid [] pid with
+    | _, st -> st
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_status pid
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 0
+
+  (* Kill a server's process group (itself and any run-child it left
+     behind) and reap it.  The pid cannot be recycled before the reap, so
+     neither signal can reach a stranger. *)
+  let kill_and_reap pid =
+    (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    waitpid_status pid
+
+  let forget t s =
+    t.server <- None;
+    try Unix.close s.sock with Unix.Unix_error _ -> ()
+
+  let drop t s =
+    forget t s;
+    kill_and_reap s.pid
+
+  (* A server that exited since the last run (its idle timeout) is reaped
+     here, before the next request is written to it. *)
+  let reap_if_exited t =
+    match t.server with
+    | Some s -> (
+      match Unix.waitpid [ Unix.WNOHANG ] s.pid with
+      | 0, _ -> ()
+      | _ -> forget t s
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> forget t s
+      | exception Unix.Unix_error _ -> ())
+    | None -> ()
+
+  let request ~wall ~(limits : limits) ~misbehave =
+    let b = Bytes.make (8 * request_words) '\000' in
+    let set i v = Bytes.set_int64_ne b (8 * i) (Int64.of_int v) in
+    let us ms = int_of_float (ms *. 1000.) in
+    Bytes.set_int64_ne b 0 magic;
+    set 1 (match wall with None -> -1 | Some w -> us w);
+    set 2 (us default_grace_ms);
+    set 3 (limit_value limits.cpu_s);
+    set 4 (limit_value limits.mem_bytes);
+    set 5 (limit_value limits.fsize_bytes);
+    set 6 (misbehave_code misbehave);
+    b
+
+  let gone_errors = [ Unix.EPIPE; Unix.ECONNRESET; Unix.ENOTCONN ]
+
+  (* Send one request and wait for its reply.  [backstop_s] bounds the
+     wait (0 = none): past it the server itself is wedged. *)
+  let exchange s req ~backstop_s =
+    match send_all s.sock req with
+    | exception Unix.Unix_error (e, _, _) when List.mem e gone_errors -> `Gone
+    | () -> (
+      Unix.setsockopt_float s.sock Unix.SO_RCVTIMEO backstop_s;
+      let len = 8 * reply_words in
+      let buf = Bytes.create len in
+      let rec fill off =
+        if off = len then `Reply buf
+        else
+          match Unix.read s.sock buf off (len - off) with
+          | 0 -> `Gone
+          | n -> fill (off + n)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> `Overdue
+          | exception Unix.Unix_error (e, _, _) when List.mem e gone_errors -> `Gone
+      in
+      fill 0)
+
+  let word b i = Int64.to_int (Bytes.get_int64_ne b (8 * i))
+
+  (* The run-child reply, classified exactly as a supervised spawn. *)
+  let classify t ~limits ~misbehave rep =
+    let stderr_tail = stderr_tail t in
+    let wall_ms = float_of_int (word rep 4) /. 1e6 in
+    let status =
+      match word rep 0 with
+      | 0 -> Ok (Unix.WEXITED (word rep 1))
+      | 1 -> Ok (Unix.WSIGNALED (ocaml_signal (word rep 1)))
+      | _ -> Error (Spawn_failed { reason = "the fork-server could not start the run" })
+    in
+    let status =
+      Result.bind status
+        (classify ~limits ~misbehave ~watchdog_fired:(word rep 2 <> 0)
+           ~escalated:(word rep 3 <> 0) ~wall:wall_ms)
+    in
+    { status; wall_ms; stderr_tail }
+
+  let failed reason = { status = Error (Spawn_failed { reason }); wall_ms = 0.; stderr_tail = "" }
+
+  (* Past the server's own SIGTERM -> SIGKILL schedule, plus slack for a
+     loaded host: only a wedged server misses it. *)
+  let backstop_slack_ms = 1_000.
+
+  let run t ~deadline ~(limits : limits) =
+    let wall = wall_budget ~deadline ~limits in
+    match wall with
+    | Some w when w <= 0. -> expired_run
+    | _ ->
+      let misbehave = draw_misbehave () in
+      let req = request ~wall ~limits ~misbehave in
+      let backstop_s =
+        match wall with
+        | None -> 0.
+        | Some w -> (w +. default_grace_ms +. backstop_slack_ms) /. 1000.
+      in
+      reap_if_exited t;
+      let rec attempt ~resend =
+        match match t.server with Some s -> Ok s | None -> start t with
+        | Error reason -> failed reason
+        | Ok s -> (
+          match exchange s req ~backstop_s with
+          | `Reply rep -> classify t ~limits ~misbehave rep
+          | `Overdue ->
+            ignore (drop t s);
+            let wall_ms = Option.value ~default:0. wall in
+            { status = Error (Timeout { wall_ms; escalated = true }); wall_ms;
+              stderr_tail = "" }
+          | `Gone -> (
+            match drop t s with
+            | Unix.WEXITED 0 when resend ->
+              (* It timed out idle just as the request went out: the run
+                 never started, so it is sent once more to a fresh
+                 server. *)
+              attempt ~resend:false
+            | st ->
+              let how =
+                match st with
+                | Unix.WEXITED c -> Printf.sprintf "exited with %d" c
+                | Unix.WSIGNALED sg | Unix.WSTOPPED sg -> "killed by " ^ signal_name sg
+              in
+              { (failed ("the plan's fork-server died mid-run (" ^ how ^ ")")) with
+                stderr_tail = stderr_tail t }))
+      in
+      attempt ~resend:true
+
+  (* Closing the socket is the release signal: an idle server sees EOF and
+     exits 0 at once.  It is killed only if it has not gone within a
+     second. *)
+  let release t =
+    Mutex.lock t.lock;
+    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
+    if not t.released then begin
+      t.released <- true;
+      Option.iter
+        (fun s ->
+          forget t s;
+          let rec wait n =
+            match Unix.waitpid [ Unix.WNOHANG ] s.pid with
+            | 0, _ when n > 0 ->
+              Unix.sleepf 0.001;
+              wait (n - 1)
+            | 0, _ -> ignore (kill_and_reap s.pid)
+            | _ -> ()
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait n
+            | exception Unix.Unix_error _ -> ()
+          in
+          wait 1000)
+        t.server;
+      let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+      Option.iter (fun (planes, err) -> close planes; close err) t.fds;
+      t.fds <- None
+    end
+end
 
 (* {1 Long-lived supervised children} *)
 

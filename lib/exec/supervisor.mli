@@ -1,12 +1,14 @@
 (** Supervised, sandboxed execution of native artifacts.
 
-    PR 6 taught [kfused] to run {e generated machine code}; this module
-    is what keeps the daemon alive when that code is wrong.  Every
-    supervised execution is a [fork]/[exec] child — no shell — with:
+    [kfused] runs {e generated machine code}; this module is what keeps
+    the daemon alive when that code is wrong.  Every supervised
+    execution is a child process — no shell — either a [fork]/[exec]
+    child ({!run}, e.g. the compiler) or a run-child forked by a
+    pinned plan's {!Forkserver} (every native plan execution), with:
 
-    - [setrlimit] caps (CPU seconds, address space, output file size)
-      applied between fork and exec via a C stub, so a runaway kernel is
-      stopped by the OS, not by luck;
+    - [setrlimit] caps (CPU seconds, address space, output file size,
+      soft = hard) applied in the child before the code runs, so a
+      runaway kernel is stopped by the OS, not by luck;
     - a wall-clock watchdog fed from {!Kfuse_util.Deadline.remaining_ms}
       that sends SIGTERM at the deadline and escalates to SIGKILL after
       a short grace period;
@@ -27,7 +29,8 @@
     SIGSEGV, ["exec.hang"] makes it sleep forever (the watchdog must
     reap it), ["exec.oom"] makes it exhaust a tiny private RLIMIT_AS and
     abort like the generated [kf_malloc] does.  The fault decision is
-    drawn in the parent, before fork. *)
+    drawn in the calling process and carried to the child, which
+    misbehaves the same way whichever spawn made it. *)
 
 module Diag = Kfuse_util.Diag
 module Deadline = Kfuse_util.Deadline
@@ -128,6 +131,81 @@ val stderr_tail_limit : int
 val read_tail : ?limit:int -> string -> string
 (** Last [limit] (default {!stderr_tail_limit}) bytes of a file, with a
     truncation marker when shortened; [""] when unreadable. *)
+
+(** {1 Fork-server of a pinned plan}
+
+    One fork-server per pinned {!Native.Subprocess} plan.  The server is
+    the compiled artifact itself: its [main] (native ABI v4,
+    [forkserver_runtime.c]) maps a memfd holding the plan's input,
+    output and parameter planes, then serves run requests over a
+    socketpair.  Each request forks a fresh run-child that sets the
+    request's rlimits (soft = hard), runs the pipeline on the shared
+    planes and exits.  The server watches it with the request's wall
+    budget (SIGTERM, then SIGKILL after 500 ms) and replies with the raw
+    wait status, which is classified exactly like a {!run} child and
+    turned into a diagnostic by {!failure_diag}.  So every run is still
+    one fresh, resource-capped process, but no run pays for an exec, a
+    file or a per-pixel copy.
+
+    Lifecycle:
+    - the server is started (through the same C spawn stub as every
+      supervised child) by the first {!Forkserver.run}, and counted by
+      {!Forkserver.spawns};
+    - it exits 0 on its own once idle for a wait that scales with its
+      planes (about 16 ms per MiB, between 10 and 250 ms; ~100 ms for a
+      512x512 motion frame), and the next run starts a new one; a
+      request that races the idle exit is sent once more, never
+      reported as a failure;
+    - a server that dies mid-run is reaped, the run fails typed
+      ([KF0904]) and the next run starts a new one;
+    - a reply overdue past the wall budget + grace + 1 s means the
+      server itself is wedged: its process group is SIGKILLed and the
+      run is a {!Timeout};
+    - {!Forkserver.release} closes the socket, the server exits on EOF,
+      and it is reaped (killed if it has not gone within a second).
+
+    The caller's ends of the socket and memfds are close-on-exec, so a
+    child spawned meanwhile (a compiler run, another plan's server)
+    never holds them.  The caller never maps the planes: it moves them
+    with [pwrite]/[pread] straight from and into float arrays, so they
+    are not part of its resident set. *)
+module Forkserver : sig
+  type t
+  (** The server of one plan: artifact, planes memfd and, while one is
+      running, the server process. *)
+
+  val create : artifact:string -> bytes:int -> t
+  (** No process or descriptor yet: both are made on first use.  [bytes]
+      is the planes memfd size the artifact expects. *)
+
+  val exclusive : t -> (unit -> 'a) -> 'a
+  (** Run [f] holding the plan's mutex: a store, the runs and the loads of
+      one execution are never interleaved with another's.
+      @raise Invalid_argument after {!release}. *)
+
+  val store : t -> offset:int -> float array -> unit
+  (** [pwrite] the array into the planes memfd at a byte offset. *)
+
+  val load : t -> offset:int -> float array -> unit
+  (** [pread] the planes memfd at a byte offset into the array. *)
+
+  val run : t -> deadline:Deadline.t -> limits:limits -> run
+  (** One run in a fresh run-child, under the effective wall budget of
+      [deadline] and [limits.wall_ms] (an already-spent budget starts
+      nothing and is a {!Timeout}) and with [limits]'s rlimits.  The
+      [exec.crash|hang|oom] chaos decision is drawn here, as in {!run},
+      and carried in the request.  Call inside {!exclusive}.  Never
+      raises. *)
+
+  val pid : t -> int option
+  (** The server's pid while one is running (or has exited unreaped). *)
+
+  val release : t -> unit
+  (** Stop and reap the server and close the memfds.  Idempotent. *)
+
+  val spawns : unit -> int
+  (** Process-wide count of servers started since startup. *)
+end
 
 (** {1 Long-lived supervised children}
 

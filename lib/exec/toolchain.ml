@@ -10,36 +10,17 @@ let probe_source =
   \  return s == 28 ? 0 : 1;\n\
    }\n"
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "kfuse-probe-%d-%x" (Unix.getpid ()) (Hashtbl.hash (Unix.gettimeofday ())))
-  in
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
-
-(* [true] when [cc args] compiles the probe program cleanly. *)
+(* [true] when [cc args] compiles and links the probe program cleanly.
+   The source goes in on stdin and the binary to the null device, so
+   probing names no file. *)
 let compiles cc extra_flags =
-  with_temp_dir (fun dir ->
-      let src = Filename.concat dir "probe.c" in
-      let out = Filename.concat dir "probe.out" in
-      write_file src probe_source;
-      let cmd =
-        Filename.quote_command cc
-          (extra_flags @ [ "-o"; out; src ])
-          ~stdout:Filename.null ~stderr:Filename.null
-      in
-      Sys.command cmd = 0)
+  let cmd =
+    Printf.sprintf "printf '%%s' %s | %s" (Filename.quote probe_source)
+      (Filename.quote_command cc
+         (extra_flags @ [ "-x"; "c"; "-o"; Filename.null; "-" ])
+         ~stdout:Filename.null ~stderr:Filename.null)
+  in
+  Sys.command cmd = 0
 
 (* On a single-core host OpenMP is pure loss: every kernel's parallel
    region pays fork/join and barrier overhead (measured ~2.7 ms per

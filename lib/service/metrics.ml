@@ -49,6 +49,8 @@ let incr t name =
 let counter t name =
   locked t @@ fun () -> Option.value ~default:0 (Hashtbl.find_opt t.counters name)
 
+let set t name v = locked t @@ fun () -> Hashtbl.replace t.counters name v
+
 (* Pre-seeding a counter at 0 keeps it visible in the exposition before
    its first event: an operator (or a CI grep) can tell "never shed"
    from "not instrumented". *)

@@ -20,6 +20,10 @@ val incr : t -> string -> unit
 (** [counter t name] reads a named counter (0 if never bumped). *)
 val counter : t -> string -> int
 
+(** [set t name v] overwrites a counter with a total counted elsewhere
+    (e.g. a process-wide count sampled at read time). *)
+val set : t -> string -> int -> unit
+
 (** [touch t name] makes the counter visible (at 0) in {!render} before
     its first event, so dashboards can tell "never happened" from "not
     instrumented". *)

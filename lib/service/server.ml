@@ -52,6 +52,7 @@ type t = {
   exec_limits : Supervisor.limits;
   crash_dir : string;
   breaker : Supervisor.Breaker.t;
+  spawns_at_start : int;  (* {!Native.spawns} when this server started *)
   started_at : float;
   (* Stream and lazy sessions.  Both tables are bounded by
      [max_streams] ([KF0803] beyond it) and idle-expire after
@@ -756,7 +757,13 @@ let handle_lazy_close t id =
          Protocol.ok [ ("id", Jsonx.Str id); ("flushes", Jsonx.Num (float_of_int flushes)) ])
        (Session_table.close t.lazies id)
 
+(* Fork-servers are started inside {!Native}, which counts them
+   process-wide; the server reports the ones started since it began. *)
+let sync_spawns t =
+  Metrics.set t.metrics "native_exec_spawns" (Native.spawns () - t.spawns_at_start)
+
 let stats_json t =
+  sync_spawns t;
   Session_table.expire_idle t.streams;
   Session_table.expire_idle t.lazies;
   let limits = Frontend.limits t.fe in
@@ -831,6 +838,7 @@ let stats_json t =
             ("timeouts", count "native_exec_timeouts");
             ("limit_hits", count "native_exec_limits");
             ("fallbacks", count "native_exec_fallbacks");
+            ("spawns", count "native_exec_spawns");
             ( "quarantined",
               Jsonx.Num (float_of_int (Metrics.gauge t.metrics "quarantined_plans")) );
             ("crash_dir", Jsonx.Str t.crash_dir);
@@ -867,6 +875,7 @@ let stats_json t =
 let handle t ~deadline = function
   | Protocol.Stats -> stats_json t
   | Protocol.Metrics ->
+    sync_spawns t;
     let text =
       Metrics.render t.metrics ~cache:(Plan_cache.stats t.cache)
         ~uptime_s:(Unix.gettimeofday () -. t.started_at)
@@ -917,8 +926,8 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
     List.iter (Metrics.touch metrics)
       [
         "native_exec_crashes"; "native_exec_timeouts"; "native_exec_limits";
-        "native_exec_fallbacks"; "frames_pushed"; "frames_shed"; "lazy_edits";
-        "lazy_flushes";
+        "native_exec_fallbacks"; "native_exec_spawns"; "frames_pushed"; "frames_shed";
+        "lazy_edits"; "lazy_flushes";
       ];
     Metrics.adjust_gauge metrics "quarantined_plans" 0;
     let table ~family ~noun ~id_prefix ~full ?on_release () =
@@ -940,6 +949,7 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
         breaker =
           Supervisor.Breaker.create ~threshold:breaker_threshold
             ~cooldown_ms:breaker_cooldown_ms ();
+        spawns_at_start = Native.spawns ();
         started_at = Unix.gettimeofday ();
         streams =
           table ~family:"streams" ~noun:"stream" ~id_prefix:"st"

@@ -33,10 +33,11 @@
     misbehave.
 
     Native execution is sandboxed by default
-    ([exec_sandbox = Supervisor.Sandboxed]): generated code runs as a
-    supervised fork/exec child under rlimits and a deadline watchdog
-    ({!Kfuse_exec.Supervisor}), so a [fuse_exec] whose generated code
-    segfaults, loops, or exhausts memory yields a typed
+    ([exec_sandbox = Supervisor.Sandboxed]): generated code runs in a
+    fresh child process per execution, forked by the plan's fork-server,
+    under rlimits and a deadline watchdog
+    ({!Kfuse_exec.Supervisor.Forkserver}), so a [fuse_exec] whose
+    generated code segfaults, loops, or exhausts memory yields a typed
     [KF0905]/[KF0906]/[KF0907] reply — never a dead or wedged daemon.
     Each such failure writes a crash artifact (a fuzz-corpus-compatible
     [.pipe] file) under [crash_dir] and strikes a per-fingerprint

@@ -673,6 +673,166 @@ let test_deadline_between_samples () =
     Alcotest.(check string) "typed KF0905" "KF0905"
       (Kfuse_util.Diag.code_id d.Kfuse_util.Diag.code)
 
+(* ---- the fork-server of a pinned subprocess plan ---- *)
+
+let expect_run what plan inputs =
+  match Exec.Native.run_plan plan inputs with
+  | Ok r -> r
+  | Error d -> Alcotest.failf "%s: %s" what (Kfuse_util.Diag.to_string d)
+
+let expect_code what want = function
+  | Ok _ -> Alcotest.failf "%s: expected %s, the run succeeded" what want
+  | Error d ->
+    Alcotest.(check string) what want (Kfuse_util.Diag.code_id d.Kfuse_util.Diag.code)
+
+let check_exact what plan inputs =
+  let p = Exec.Native.plan_pipeline plan in
+  let reference = Ir.Eval.run_outputs p (Ir.Eval.env_of_list inputs) in
+  Alcotest.(check (float 0.0))
+    what 0.0
+    (max_diff reference (expect_run what plan inputs).Exec.Native.outputs)
+
+(* A pid that is neither running nor a zombie: reaped and gone. *)
+let reaped pid =
+  match Unix.kill pid 0 with
+  | () -> false
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+
+let server_pid plan =
+  match Exec.Native.plan_pid plan with
+  | Some pid -> pid
+  | None -> Alcotest.fail "the plan has no fork-server"
+
+let with_sub_plan ?(app = "unsharp") ?(width = 16) ?(height = 12) f =
+  let _ = require_toolchain () in
+  let _, fused = fused_app app ~width ~height in
+  with_cache_dir @@ fun cache_dir ->
+  match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
+  | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
+  | Ok plan -> Fun.protect ~finally:(fun () -> Exec.Native.release plan) (fun () -> f fused plan)
+
+let test_forkserver_many_runs () =
+  (* Planes large enough that the server's idle wait, which scales with
+     them, is far longer than the gap between two back-to-back runs. *)
+  with_sub_plan ~width:256 ~height:256 @@ fun fused plan ->
+  let frames = List.init 50 (fun _ -> inputs_for fused) in
+  let spawns = Exec.Native.spawns () and compiles = Exec.Native.compiles () in
+  let results = List.map (fun inputs -> expect_run "run" plan inputs) frames in
+  Alcotest.(check int) "one fork-server for 50 runs" 1 (Exec.Native.spawns () - spawns);
+  Alcotest.(check int) "no compile" 0 (Exec.Native.compiles () - compiles);
+  List.iteri
+    (fun i (inputs, r) ->
+      let reference = Ir.Eval.run_outputs fused (Ir.Eval.env_of_list inputs) in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "run %d bit-exact" i)
+        0.0
+        (max_diff reference r.Exec.Native.outputs))
+    (List.combine frames results)
+
+(* Each chaos point fails its own run with its own code, and the next
+   run on the same plan is native and exact again. *)
+let test_forkserver_faults_do_not_poison () =
+  with_sub_plan @@ fun fused plan ->
+  check_exact "warm-up" plan (inputs_for fused);
+  let wall = { Sup.no_limits with Sup.wall_ms = Some 300. } in
+  List.iter
+    (fun (spec, limits, code) ->
+      Faults.with_spec spec (fun () ->
+          expect_code spec code (Exec.Native.run_plan ~limits plan (inputs_for fused)));
+      check_exact ("after " ^ spec) plan (inputs_for fused))
+    [
+      ("exec.crash@1", Sup.no_limits, "KF0906");
+      ("exec.hang@1", wall, "KF0905");
+      ("exec.oom@1", Sup.no_limits, "KF0907");
+    ]
+
+let test_forkserver_idle_exit () =
+  with_sub_plan @@ fun fused plan ->
+  check_exact "first run" plan (inputs_for fused);
+  let pid = server_pid plan in
+  let spawns = Exec.Native.spawns () in
+  Thread.delay 0.5;
+  check_exact "run after the idle exit" plan (inputs_for fused);
+  Alcotest.(check int) "a new fork-server" 1 (Exec.Native.spawns () - spawns);
+  Alcotest.(check bool) "the idle one was reaped" true (reaped pid);
+  Alcotest.(check bool) "with a new pid" true (server_pid plan <> pid)
+
+let test_forkserver_death_mid_run () =
+  with_sub_plan @@ fun fused plan ->
+  check_exact "first run" plan (inputs_for fused);
+  let pid = server_pid plan in
+  let killer =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.2;
+        Unix.kill pid Sys.sigkill)
+      ()
+  in
+  Faults.with_spec "exec.hang@1" (fun () ->
+      expect_code "the run the server died in" "KF0904"
+        (Exec.Native.run_plan
+           ~limits:{ Sup.no_limits with Sup.wall_ms = Some 10_000. }
+           plan (inputs_for fused)));
+  Thread.join killer;
+  Alcotest.(check bool) "the dead server was reaped" true (reaped pid);
+  let spawns = Exec.Native.spawns () in
+  check_exact "next run" plan (inputs_for fused);
+  Alcotest.(check int) "restarted once" 1 (Exec.Native.spawns () - spawns)
+
+let test_forkserver_release_reaps () =
+  let _ = require_toolchain () in
+  let _, fused = fused_app "sobel" ~width:16 ~height:12 in
+  with_cache_dir @@ fun cache_dir ->
+  let plan =
+    match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
+    | Ok plan -> plan
+    | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
+  in
+  check_exact "run" plan (inputs_for fused);
+  let pid = server_pid plan in
+  (* A child spawned while the plan is pinned (a compiler run, say) must
+     not inherit the plan's socket or memfds: a held socket would keep
+     the server from ever seeing EOF on release. *)
+  let bystander =
+    match Sup.Child.spawn ~argv:[ "sleep"; "30" ] () with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "spawn sleep: %s" e
+  in
+  Fun.protect ~finally:(fun () -> ignore (Sup.Child.terminate ~grace_ms:0. bystander))
+  @@ fun () ->
+  let proc = Printf.sprintf "/proc/%d" (Sup.Child.pid bystander) in
+  (* Between fork and exec the child still holds everything. *)
+  let rec await_exec n =
+    let cmdline =
+      try In_channel.with_open_bin (proc ^ "/cmdline") In_channel.input_all
+      with Sys_error _ -> ""
+    in
+    if cmdline <> "sleep\00030\000" && n > 0 then begin
+      Thread.delay 0.01;
+      await_exec (n - 1)
+    end
+  in
+  await_exec 200;
+  let fds = proc ^ "/fd" in
+  let links =
+    Array.to_list (Sys.readdir fds)
+    |> List.filter_map (fun fd ->
+           try Some (Unix.readlink (Filename.concat fds fd)) with Unix.Unix_error _ -> None)
+  in
+  Alcotest.(check (list string)) "the bystander holds no socket and no plane memfd" []
+    (List.filter
+       (fun l -> String.starts_with ~prefix:"socket:" l || contains "memfd:kfuse" l)
+       links);
+  let t0 = Unix.gettimeofday () in
+  Exec.Native.release plan;
+  Alcotest.(check bool) "release reached the server (no kill after the grace)" true
+    (Unix.gettimeofday () -. t0 < 0.9);
+  Alcotest.(check bool) "server reaped and gone" true (reaped pid);
+  Alcotest.(check (option int)) "no server after release" None (Exec.Native.plan_pid plan);
+  match Exec.Native.run_plan plan (inputs_for fused) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "run_plan after release must raise"
+
 let test_policy_string_roundtrip () =
   List.iter
     (fun p ->
@@ -753,6 +913,16 @@ let suite =
       test_crash_artifact_roundtrip;
     Alcotest.test_case "native: deadline between timing samples" `Slow
       test_deadline_between_samples;
+    Alcotest.test_case "fork-server: 50 runs, one spawn, bit-exact" `Slow
+      test_forkserver_many_runs;
+    Alcotest.test_case "fork-server: chaos runs do not poison the plan" `Slow
+      test_forkserver_faults_do_not_poison;
+    Alcotest.test_case "fork-server: idle exit, transparent restart" `Slow
+      test_forkserver_idle_exit;
+    Alcotest.test_case "fork-server: death mid-run is KF0904, then restart" `Slow
+      test_forkserver_death_mid_run;
+    Alcotest.test_case "fork-server: release reaps, bystanders hold nothing" `Slow
+      test_forkserver_release_reaps;
     Alcotest.test_case "sandbox policy string roundtrip" `Quick
       test_policy_string_roundtrip;
     Alcotest.test_case "fuzz oracle: native-exec" `Slow test_oracle_native_exec;

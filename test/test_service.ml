@@ -730,7 +730,8 @@ let expected_stats_paths =
        "limits.max_conns"; "limits.queue"; "limits.request_timeout_ms";
        "limits.drain_timeout_ms"; "native_exec"; "native_exec.sandbox";
        "native_exec.crashes"; "native_exec.timeouts"; "native_exec.limit_hits";
-       "native_exec.fallbacks"; "native_exec.quarantined"; "native_exec.crash_dir";
+       "native_exec.fallbacks"; "native_exec.spawns"; "native_exec.quarantined";
+       "native_exec.crash_dir";
        "streams"; "streams.active"; "streams.opened"; "streams.closed";
        "streams.expired"; "streams.shed"; "streams.frames_pushed";
        "streams.frames_shed"; "streams.max_streams"; "streams.stream_queue";
@@ -751,7 +752,7 @@ let expected_metric_series =
        [ "connections_accepted"; "connections_dropped"; "requests_shed";
          "requests_timed_out"; "protocol_errors"; "native_exec_crashes";
          "native_exec_timeouts"; "native_exec_limits"; "native_exec_fallbacks";
-         "streams_opened"; "streams_closed"; "streams_expired"; "streams_shed";
+         "native_exec_spawns"; "streams_opened"; "streams_closed"; "streams_expired"; "streams_shed";
          "frames_pushed"; "frames_shed"; "lazy_opened"; "lazy_closed"; "lazy_expired";
          "lazy_shed"; "lazy_edits"; "lazy_flushes" ]
     @ List.map (fun g -> "kfused_" ^ g)

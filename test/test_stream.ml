@@ -177,15 +177,15 @@ let temp_dir prefix =
   Unix.mkdir dir 0o700;
   dir
 
-let with_server ?cache_dir ?exec_sandbox ?max_streams ?stream_queue ?stream_idle_ms
-    ?breaker_threshold f =
+let with_server ?cache_dir ?exec_sandbox ?exec_limits ?max_streams ?stream_queue
+    ?stream_idle_ms ?breaker_threshold f =
   let socket = temp_socket () in
   let cache = Cache.Plan_cache.create ?dir:cache_dir () in
   let crash_dir = temp_dir "kfuse-stream-crash" in
   Kfuse_util.Pool.with_pool 2 (fun pool ->
       match
-        Svc.Server.start ~socket ~cache ~pool ~crash_dir ?exec_sandbox ?breaker_threshold
-          ?max_streams ?stream_queue ?stream_idle_ms ()
+        Svc.Server.start ~socket ~cache ~pool ~crash_dir ?exec_sandbox ?exec_limits
+          ?breaker_threshold ?max_streams ?stream_queue ?stream_idle_ms ()
       with
       | Error d -> Alcotest.failf "server start failed: %s" (Diag.to_string d)
       | Ok server ->
@@ -575,6 +575,64 @@ let test_stream_compile_once_bitexact () =
       Ok ())
   |> expect_ok
 
+(* The default sandboxed stream runs every frame in a fresh run-child of
+   one fork-server: frames pushed back to back cost one spawn, and a
+   crash, a hang and an OOM mid-stream each fail only their own frame
+   (typed, served by the interpreter) while the next frame is native and
+   exact again. *)
+let test_sandboxed_stream_one_spawn () =
+  require_toolchain ();
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+    at 0
+  in
+  let exec_limits = { Kfuse_exec.Supervisor.default_limits with wall_ms = Some 300. } in
+  with_server ~exec_limits @@ fun socket _server ->
+  let spawns c =
+    let stats = expect_ok (Svc.Client.request c Protocol.Stats) in
+    int_of_float (num (field "spawns" (field "native_exec" stats)))
+  in
+  Svc.Client.with_connection ~socket (fun c ->
+      (* Frames large enough that the server's idle wait, which scales
+         with its planes, is far longer than the gap between two pushes. *)
+      let opened =
+        expect_ok (Svc.Client.stream_open c (open_req ~width:512 ~height:512 "motion"))
+      in
+      let id = stream_id opened in
+      Alcotest.(check string) "sandboxed subprocess" "subprocess"
+        (str (field "mode" (field "exec" opened)));
+      let push ?(verify = false) () =
+        field "exec" (expect_ok (Svc.Client.stream_push c (push_req ~verify id)))
+      in
+      let native what ex =
+        Alcotest.(check string) (what ^ ": native") "subprocess" (str (field "mode" ex));
+        Alcotest.(check bool) (what ^ ": no fallback") true
+          (field "fallback" ex = Jsonx.Bool false)
+      in
+      let before = spawns c in
+      for i = 0 to 19 do
+        native (Printf.sprintf "frame %d" i) (push ())
+      done;
+      Alcotest.(check int) "20 frames, one fork-server" 1 (spawns c - before);
+      List.iter
+        (fun (spec, code) ->
+          let ex = Faults.with_spec spec (fun () -> push ~verify:true ()) in
+          Alcotest.(check bool) (spec ^ ": fell back") true
+            (field "fallback" ex = Jsonx.Bool true);
+          (match field "warnings" ex with
+          | Jsonx.Arr [ Jsonx.Str w ] ->
+            Alcotest.(check bool) (spec ^ ": typed " ^ code) true (contains w ("[" ^ code ^ "]"))
+          | v -> Alcotest.failf "%s: expected one warning, got %s" spec (Jsonx.to_string v));
+          let reply = expect_ok (Svc.Client.stream_push c (push_req ~verify:true id)) in
+          native ("after " ^ spec) (field "exec" reply);
+          Alcotest.(check (float 0.0)) ("after " ^ spec ^ ": bit-exact") 0.0
+            (num (field "max_abs_diff" reply)))
+        [ ("exec.crash@1", "KF0906"); ("exec.hang@1", "KF0905"); ("exec.oom@1", "KF0907") ];
+      expect_ok (Svc.Client.stream_close c id) |> ignore;
+      Ok ())
+  |> expect_ok
+
 (* The sandbox policy x requested mode contract, end to end: which
    backend each policy picks for fuse_exec and stream_open, and the
    exact key set of every [exec] object a client can see. *)
@@ -687,6 +745,8 @@ let suite =
       test_stream_crash_quarantine_temporal;
     Alcotest.test_case "stream: one compile per stream, 10 frames bit-exact" `Slow
       test_stream_compile_once_bitexact;
+    Alcotest.test_case "stream: sandboxed frames share one fork-server" `Slow
+      test_sandboxed_stream_one_spawn;
     Alcotest.test_case "exec: sandbox policy x requested mode contract" `Slow
       test_policy_mode_contract;
   ]

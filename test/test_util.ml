@@ -85,6 +85,54 @@ let test_rng_copy_independent () =
   let c = Rng.copy a in
   Alcotest.(check int64) "copy from advanced state" (Rng.bits64 a) (Rng.bits64 c)
 
+(* The first 64 outputs of each draw, from a fresh generator per seed:
+   the first value literally, all 64 as an MD5 of their printed forms
+   ([%h] for floats, so every bit counts).  Any change to the state
+   layout or the arithmetic must reproduce these exactly — every seeded
+   image, test case and benchmark request depends on them. *)
+let rng_golden =
+  [
+    ( 0, -7355399402456485196L, 0x1.33d8be6d96ebep-1, 437233,
+      "39a4ca52b79c2acedcf2cd87d675fadc", "006a8a11c7eea9c3d37d8e644475e7ab",
+      "e4a9d002b58fd54aa3e80f226bc9a787" );
+    ( 1, -5480124913605472059L, 0x1.67e55eda1f8e2p-1, 649235,
+      "6cdaf6fb4f61e18885427e13fabf4a07", "0fdcb0e9c06d89388ff304044118e733",
+      "0ab36df76fb4702fac641206c41cfb9d" );
+    ( 42, 1546998764402558742L, 0x1.5780b2e0c2ecp-4, 94241,
+      "d0961594824316333370c1bb794476bc", "9d0dfce5f9df63bc9403c2d6951886ab",
+      "052bd0222e0d096e61160c04aae25d03" );
+    ( max_int, 7651040205805895144L, 0x1.a8b7d21ef52aep-2, 68441,
+      "7f5f0e9b828c531267b53b88b033611a", "b44b4cf76222d77e8104422d93288812",
+      "70f3b5507e79108d166052725557adbf" );
+  ]
+
+let test_rng_golden () =
+  let digest64 f =
+    let b = Buffer.create 4096 in
+    for _ = 1 to 64 do
+      Buffer.add_string b (f ());
+      Buffer.add_char b '\n'
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (seed, first_bits, first_float, first_int, d_bits, d_float, d_int) ->
+      let what s = Printf.sprintf "seed %d: %s" seed s in
+      let bits t = Rng.bits64 t and flt t = Rng.float t 1.0 and int t = Rng.int t 1_000_003 in
+      Alcotest.(check int64) (what "first bits64") first_bits (bits (Rng.create seed));
+      Alcotest.(check (float 0.0)) (what "first float") first_float (flt (Rng.create seed));
+      Alcotest.(check int) (what "first int") first_int (int (Rng.create seed));
+      let t = Rng.create seed in
+      Alcotest.(check string) (what "64 bits64") d_bits
+        (digest64 (fun () -> Printf.sprintf "%Ld" (bits t)));
+      let t = Rng.create seed in
+      Alcotest.(check string) (what "64 floats") d_float
+        (digest64 (fun () -> Printf.sprintf "%h" (flt t)));
+      let t = Rng.create seed in
+      Alcotest.(check string) (what "64 ints") d_int
+        (digest64 (fun () -> Printf.sprintf "%d" (int t))))
+    rng_golden
+
 let test_stats_summary () =
   let s = Stats.summarize [| 4.0; 1.0; 3.0; 2.0; 5.0 |] in
   Alcotest.(check int) "n" 5 s.Stats.n;
@@ -132,6 +180,7 @@ let suite =
     Alcotest.test_case "Rng.float range" `Quick test_rng_float_range;
     Alcotest.test_case "Rng.gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "Rng.copy" `Quick test_rng_copy_independent;
+    Alcotest.test_case "Rng golden sequences" `Quick test_rng_golden;
     Alcotest.test_case "Stats.summarize" `Quick test_stats_summary;
     Alcotest.test_case "Stats.percentile interpolation" `Quick test_stats_percentile_interpolation;
     Alcotest.test_case "Stats single sample" `Quick test_stats_single;
