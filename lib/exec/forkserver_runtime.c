@@ -37,25 +37,24 @@ void kf_zygote_run(double* planes);
 // region itself (a libgomp team does not survive fork).
 //
 // An idle server saves the next run an exec and a cold start, but it
-// is a live process: it exits on its own after a wait that scales with
-// the per-run work, i.e. with its planes, KF_IDLE_MS_PER_MIB per MiB
-// clamped to [KF_IDLE_MIN_MS, KF_IDLE_MAX_MS] (about 100 ms for a
-// 512x512 motion frame).  A stream pushing frames keeps its server; a
-// plan nobody drives any more soon holds no process.
+// is a live process: after each reply it waits for the next request
+// only as long as that request's keep-alive says (0: not at all), then
+// exits.  The plan's owner sets the keep-alive, so a stream keeps its
+// server between frames and a plan nobody drives holds no process.
 //
 // Wire format (the client is Supervisor.Forkserver, which mirrors the
 // constants below): native-endian int64 words over a SOCK_STREAM
 // socketpair.
 //   request: magic, wall budget (us, -1 none), SIGTERM->SIGKILL grace
 //            (us), RLIMIT_CPU (s), RLIMIT_AS (bytes), RLIMIT_FSIZE
-//            (bytes) (-1 unlimited), chaos misbehaviour, reserved
+//            (bytes) (-1 unlimited), chaos misbehaviour, keep-alive
+//            after the reply (us, -1 until the next request or EOF)
 //   reply:   kind (0 exited, 1 killed by a signal, 2 could not fork),
 //            exit code / C signal number / errno, watchdog fired,
 //            watchdog escalated, run-child wall time (ns), reserved
 
 #define KF_MAGIC 0x4b465a34LL /* "KFZ4" */
 enum { KF_REQ_WORDS = 8, KF_REP_WORDS = 6 };
-enum { KF_IDLE_MS_PER_MIB = 16, KF_IDLE_MIN_MS = 10, KF_IDLE_MAX_MS = 250 };
 
 static int64_t kf_now_ns(void) {
   struct timespec ts;
@@ -177,13 +176,13 @@ int main(void) {
   sigemptyset(&chld);
   sigaddset(&chld, SIGCHLD);
   (void)sigprocmask(SIG_BLOCK, &chld, NULL);
-  int64_t idle_ms = (int64_t)(kf_zygote_bytes >> 20) * KF_IDLE_MS_PER_MIB;
-  if (idle_ms < KF_IDLE_MIN_MS) idle_ms = KF_IDLE_MIN_MS;
-  if (idle_ms > KF_IDLE_MAX_MS) idle_ms = KF_IDLE_MAX_MS;
+  // The first request is written right after the spawn: wait for it
+  // (or for EOF) without a timeout.
+  int idle_ms = -1;
   for (;;) {
     int64_t req[KF_REQ_WORDS], rep[KF_REP_WORDS];
     struct pollfd pfd = { sock, POLLIN, 0 };
-    int ready = poll(&pfd, 1, (int)idle_ms);
+    int ready = poll(&pfd, 1, idle_ms);
     if (ready < 0 && errno == EINTR) continue;
     // Idle, released (EOF) or a vanished peer: a clean exit 0, which
     // kfused reads as "respawn me", never as a failed run.
@@ -192,6 +191,8 @@ int main(void) {
       fprintf(stderr, "kfuse fork-server: bad request\n");
       return 2;
     }
+    int64_t keep_ms = req[7] < 0 ? -1 : (req[7] + 999) / 1000;
+    idle_ms = keep_ms > INT32_MAX ? INT32_MAX : (int)keep_ms;
     memset(rep, 0, sizeof rep);
     // stderr holds this run's bytes only.
     (void)ftruncate(2, 0);

@@ -555,6 +555,11 @@ let plan_pid plan =
 
 let spawns = Supervisor.Forkserver.spawns
 
+let keep_alive plan ~ms =
+  match plan.plan_backend with
+  | Forked fs -> Supervisor.Forkserver.set_keep_alive fs ms
+  | Loaded _ -> ()
+
 let release plan =
   if not plan.plan_released then begin
     plan.plan_released <- true;
@@ -604,6 +609,9 @@ let run ?mode ?tile ?cache_dir ?(params = []) ?(repeat = 1) ?deadline ?limits
   | Error d -> Error d
   | Ok plan ->
     Fun.protect ~finally:(fun () -> release plan) @@ fun () ->
+    (* The release right after ends the server: until then it serves
+       every sample. *)
+    keep_alive plan ~ms:Float.infinity;
     Result.map
       (fun r -> { r with compile_ms = plan.plan_compile_ms; warnings = plan.plan_warnings })
       (run_plan ~params ~repeat ?deadline ?limits plan inputs)

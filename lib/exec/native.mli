@@ -140,9 +140,10 @@ val run :
     {!Dlopen} mode, the [dlopen]+[dlsym]) exactly once; {!run_plan} is
     then a bare entry-point call ({!Dlopen}) or one fork of the plan's
     fork-server ({!Subprocess}; the server itself is started by the
-    first {!run_plan}, exits after 250 ms idle and is restarted on
-    demand), with no cache lookup, no loader traffic, no exec, no file
-    and no compiler anywhere on the per-frame path. *)
+    first {!run_plan}, waits for the next run only as long as
+    {!keep_alive} says and is restarted on demand), with no cache
+    lookup, no loader traffic, no file and no compiler anywhere on the
+    per-frame path, and no exec while the server lives. *)
 
 type plan
 (** A compiled pipeline pinned in memory: artifact path plus, in
@@ -201,13 +202,23 @@ val release : plan -> unit
     {!Subprocess} mode stop and reap the fork-server and close its
     memfds.  Idempotent. *)
 
+val keep_alive : plan -> ms:float -> unit
+(** [keep_alive plan ~ms]: after each run, a {!Subprocess} plan's
+    fork-server waits up to [ms] for the next one before exiting
+    ([infinity]: until the next run or {!release}).  The default is 0,
+    so a plan its owner never releases holds no process once its run
+    is answered; an owner that expects more runs soon (a stream) sets
+    how long to wait for them.  A run after the server exited starts a
+    new one.  No-op for {!Dlopen} plans.
+    @raise Invalid_argument on a negative or NaN [ms]. *)
+
 val plan_pid : plan -> int option
 (** The pid of a {!Subprocess} plan's fork-server while it has one. *)
 
 val spawns : unit -> int
 (** Process-wide count of fork-servers started since startup: one per
     pinned {!Subprocess} plan, plus one per restart after an idle exit
-    or a death. *)
+    (see {!keep_alive}) or a death. *)
 
 val compiles : unit -> int
 (** Process-wide count of real compiler invocations (compile-cache

@@ -322,10 +322,23 @@ module Forkserver = struct
     mutable fds : (Unix.file_descr * Unix.file_descr) option;  (* planes, stderr *)
     mutable server : server option;
     mutable released : bool;
+    mutable keep_alive_ms : float;
   }
 
   let create ~artifact ~bytes =
-    { artifact; bytes; lock = Mutex.create (); fds = None; server = None; released = false }
+    {
+      artifact;
+      bytes;
+      lock = Mutex.create ();
+      fds = None;
+      server = None;
+      released = false;
+      keep_alive_ms = 0.;
+    }
+
+  let set_keep_alive t ms =
+    if Float.is_nan ms || ms < 0. then invalid_arg "Forkserver.set_keep_alive: negative wait";
+    t.keep_alive_ms <- ms
 
   let exclusive t f =
     Mutex.lock t.lock;
@@ -408,7 +421,7 @@ module Forkserver = struct
       | exception Unix.Unix_error _ -> ())
     | None -> ()
 
-  let request ~wall ~(limits : limits) ~misbehave =
+  let request ~wall ~(limits : limits) ~misbehave ~keep_alive_ms =
     let b = Bytes.make (8 * request_words) '\000' in
     let set i v = Bytes.set_int64_ne b (8 * i) (Int64.of_int v) in
     let us ms = int_of_float (ms *. 1000.) in
@@ -419,6 +432,7 @@ module Forkserver = struct
     set 4 (limit_value limits.mem_bytes);
     set 5 (limit_value limits.fsize_bytes);
     set 6 (misbehave_code misbehave);
+    set 7 (if Float.is_finite keep_alive_ms then us keep_alive_ms else -1);
     b
 
   let gone_errors = [ Unix.EPIPE; Unix.ECONNRESET; Unix.ENOTCONN ]
@@ -475,7 +489,7 @@ module Forkserver = struct
     | Some w when w <= 0. -> expired_run
     | _ ->
       let misbehave = draw_misbehave () in
-      let req = request ~wall ~limits ~misbehave in
+      let req = request ~wall ~limits ~misbehave ~keep_alive_ms:t.keep_alive_ms in
       let backstop_s =
         match wall with
         | None -> 0.

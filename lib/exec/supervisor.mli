@@ -151,11 +151,11 @@ val read_tail : ?limit:int -> string -> string
     - the server is started (through the same C spawn stub as every
       supervised child) by the first {!Forkserver.run}, and counted by
       {!Forkserver.spawns};
-    - it exits 0 on its own once idle for a wait that scales with its
-      planes (about 16 ms per MiB, between 10 and 250 ms; ~100 ms for a
-      512x512 motion frame), and the next run starts a new one; a
-      request that races the idle exit is sent once more, never
-      reported as a failure;
+    - after each reply it waits for the next request only for the
+      plan's keep-alive ({!Forkserver.set_keep_alive}, default 0: it
+      exits as soon as the run is answered), then exits 0 on its own,
+      and the next run starts a new one; a request that races the idle
+      exit is sent once more, never reported as a failure;
     - a server that dies mid-run is reaped, the run fails typed
       ([KF0904]) and the next run starts a new one;
     - a reply overdue past the wall budget + grace + 1 s means the
@@ -182,6 +182,13 @@ module Forkserver : sig
   (** Run [f] holding the plan's mutex: a store, the runs and the loads of
       one execution are never interleaved with another's.
       @raise Invalid_argument after {!release}. *)
+
+  val set_keep_alive : t -> float -> unit
+  (** How long (ms) the server waits after a reply for the next request
+      before exiting; [infinity] waits until the next request or
+      {!release}.  Carried by each request, so it applies from the next
+      one on.  Default 0.
+      @raise Invalid_argument on a negative or NaN wait. *)
 
   val store : t -> offset:int -> float array -> unit
   (** [pwrite] the array into the planes memfd at a byte offset. *)

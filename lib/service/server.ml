@@ -52,7 +52,6 @@ type t = {
   exec_limits : Supervisor.limits;
   crash_dir : string;
   breaker : Supervisor.Breaker.t;
-  spawns_at_start : int;  (* {!Native.spawns} when this server started *)
   started_at : float;
   (* Stream and lazy sessions.  Both tables are bounded by
      [max_streams] ([KF0803] beyond it) and idle-expire after
@@ -385,12 +384,22 @@ let handle_fuse_exec t ~deadline (e : Protocol.fuse_exec_request) =
 
 (* ---- streams ---- *)
 
+(* How long a sandboxed stream's fork-server waits for the next frame
+   before exiting.  Measured gaps between two runs of one stream (2-core
+   x86-64, motion): 30 fps clients at 256x256 to 1024x1024 p90 25-63 ms,
+   max 80 ms; back-to-back kbench [stream] p90 23 ms, p99 216 ms.  So
+   any stream of 4 fps or more keeps one server, and an abandoned stream
+   holds a process for at most this long. *)
+let stream_keep_alive_ms = 250.
+
 (* Pin the native backend for a new stream under the server's sandbox
    policy.  [Ok (None, warns)] is an interpreter-only stream — the
    daemon stays useful on hosts without a C toolchain. *)
 let prepare_stream_plan t ~requested p =
   match Native.prepare ?mode:(exec_mode t requested) ?cache_dir:(native_cache_dir t) p with
-  | Ok pl -> Ok (Some pl, Native.plan_warnings pl)
+  | Ok pl ->
+    Native.keep_alive pl ~ms:stream_keep_alive_ms;
+    Ok (Some pl, Native.plan_warnings pl)
   | Error d when d.Diag.code = Diag.Toolchain_missing ->
     Ok
       ( None,
@@ -758,9 +767,8 @@ let handle_lazy_close t id =
        (Session_table.close t.lazies id)
 
 (* Fork-servers are started inside {!Native}, which counts them
-   process-wide; the server reports the ones started since it began. *)
-let sync_spawns t =
-  Metrics.set t.metrics "native_exec_spawns" (Native.spawns () - t.spawns_at_start)
+   process-wide: the count is copied in when stats or metrics are read. *)
+let sync_spawns t = Metrics.set t.metrics "native_exec_spawns" (Native.spawns ())
 
 let stats_json t =
   sync_spawns t;
@@ -949,7 +957,6 @@ let start ~socket:path ~cache ~pool ?budget_ms ?(max_conns = 16) ?(queue = 64)
         breaker =
           Supervisor.Breaker.create ~threshold:breaker_threshold
             ~cooldown_ms:breaker_cooldown_ms ();
-        spawns_at_start = Native.spawns ();
         started_at = Unix.gettimeofday ();
         streams =
           table ~family:"streams" ~noun:"stream" ~id_prefix:"st"

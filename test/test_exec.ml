@@ -703,18 +703,30 @@ let server_pid plan =
   | Some pid -> pid
   | None -> Alcotest.fail "the plan has no fork-server"
 
-let with_sub_plan ?(app = "unsharp") ?(width = 16) ?(height = 12) f =
+(* A pinned subprocess plan whose server waits [keep_alive] ms for the
+   next run (default: until the next run or release, so no assertion
+   below depends on how fast the host schedules the test). *)
+let with_sub_plan ?(app = "unsharp") ?(width = 16) ?(height = 12) ?(keep_alive = Float.infinity) f
+    =
   let _ = require_toolchain () in
   let _, fused = fused_app app ~width ~height in
   with_cache_dir @@ fun cache_dir ->
   match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
   | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
-  | Ok plan -> Fun.protect ~finally:(fun () -> Exec.Native.release plan) (fun () -> f fused plan)
+  | Ok plan ->
+    Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
+    Exec.Native.keep_alive plan ~ms:keep_alive;
+    f fused plan
+
+(* A process that has exited: gone, or a zombie (empty command line)
+   waiting for its reap. *)
+let exited pid =
+  match In_channel.with_open_bin (Printf.sprintf "/proc/%d/cmdline" pid) In_channel.input_all with
+  | cmdline -> cmdline = ""
+  | exception Sys_error _ -> true
 
 let test_forkserver_many_runs () =
-  (* Planes large enough that the server's idle wait, which scales with
-     them, is far longer than the gap between two back-to-back runs. *)
-  with_sub_plan ~width:256 ~height:256 @@ fun fused plan ->
+  with_sub_plan ~width:64 ~height:48 @@ fun fused plan ->
   let frames = List.init 50 (fun _ -> inputs_for fused) in
   let spawns = Exec.Native.spawns () and compiles = Exec.Native.compiles () in
   let results = List.map (fun inputs -> expect_run "run" plan inputs) frames in
@@ -747,7 +759,7 @@ let test_forkserver_faults_do_not_poison () =
     ]
 
 let test_forkserver_idle_exit () =
-  with_sub_plan @@ fun fused plan ->
+  with_sub_plan ~keep_alive:50. @@ fun fused plan ->
   check_exact "first run" plan (inputs_for fused);
   let pid = server_pid plan in
   let spawns = Exec.Native.spawns () in
@@ -779,6 +791,24 @@ let test_forkserver_death_mid_run () =
   check_exact "next run" plan (inputs_for fused);
   Alcotest.(check int) "restarted once" 1 (Exec.Native.spawns () - spawns)
 
+(* The default keep-alive is 0: a plan its owner never releases holds
+   no process once its run is answered, and runs that race the exit are
+   resent, never failed. *)
+let test_forkserver_no_keep_alive () =
+  let _ = require_toolchain () in
+  let _, fused = fused_app "unsharp" ~width:16 ~height:12 in
+  with_cache_dir @@ fun cache_dir ->
+  match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
+  | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
+  | Ok plan ->
+    Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
+    for i = 1 to 20 do
+      check_exact (Printf.sprintf "run %d" i) plan (inputs_for fused)
+    done;
+    let pid = server_pid plan in
+    let rec await n = exited pid || (n > 0 && (Thread.delay 0.01; await (n - 1))) in
+    Alcotest.(check bool) "the server exited on its own" true (await 500)
+
 let test_forkserver_release_reaps () =
   let _ = require_toolchain () in
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
@@ -788,6 +818,8 @@ let test_forkserver_release_reaps () =
     | Ok plan -> plan
     | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
   in
+  (* The server outlives the run, so only the release can end it. *)
+  Exec.Native.keep_alive plan ~ms:Float.infinity;
   check_exact "run" plan (inputs_for fused);
   let pid = server_pid plan in
   (* A child spawned while the plan is pinned (a compiler run, say) must
@@ -921,6 +953,8 @@ let suite =
       test_forkserver_idle_exit;
     Alcotest.test_case "fork-server: death mid-run is KF0904, then restart" `Slow
       test_forkserver_death_mid_run;
+    Alcotest.test_case "fork-server: no keep-alive, no process after the run" `Slow
+      test_forkserver_no_keep_alive;
     Alcotest.test_case "fork-server: release reaps, bystanders hold nothing" `Slow
       test_forkserver_release_reaps;
     Alcotest.test_case "sandbox policy string roundtrip" `Quick

@@ -594,10 +594,10 @@ let test_sandboxed_stream_one_spawn () =
     int_of_float (num (field "spawns" (field "native_exec" stats)))
   in
   Svc.Client.with_connection ~socket (fun c ->
-      (* Frames large enough that the server's idle wait, which scales
-         with its planes, is far longer than the gap between two pushes. *)
+      (* Small frames: the gap between two pushes stays far below the
+         stream's 250 ms keep-alive. *)
       let opened =
-        expect_ok (Svc.Client.stream_open c (open_req ~width:512 ~height:512 "motion"))
+        expect_ok (Svc.Client.stream_open c (open_req ~width:64 ~height:64 "motion"))
       in
       let id = stream_id opened in
       Alcotest.(check string) "sandboxed subprocess" "subprocess"
