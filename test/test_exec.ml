@@ -703,11 +703,11 @@ let server_pid plan =
   | Some pid -> pid
   | None -> Alcotest.fail "the plan has no fork-server"
 
-(* A pinned subprocess plan whose server waits [keep_alive] ms for the
-   next run (default: until the next run or release, so no assertion
-   below depends on how fast the host schedules the test). *)
-let with_sub_plan ?(app = "unsharp") ?(width = 16) ?(height = 12) ?(keep_alive = Float.infinity) f
-    =
+(* A pinned subprocess plan, its server waiting [keep_alive] ms for the
+   next run.  Tests that count spawns or kill a server pass [infinity]
+   (until the next run or release), so none depends on how fast the
+   host schedules it. *)
+let with_sub_plan ?(app = "unsharp") ?(width = 16) ?(height = 12) ?keep_alive f =
   let _ = require_toolchain () in
   let _, fused = fused_app app ~width ~height in
   with_cache_dir @@ fun cache_dir ->
@@ -715,7 +715,7 @@ let with_sub_plan ?(app = "unsharp") ?(width = 16) ?(height = 12) ?(keep_alive =
   | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
   | Ok plan ->
     Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
-    Exec.Native.keep_alive plan ~ms:keep_alive;
+    Option.iter (fun ms -> Exec.Native.keep_alive plan ~ms) keep_alive;
     f fused plan
 
 (* A process that has exited: gone, or a zombie (empty command line)
@@ -726,7 +726,7 @@ let exited pid =
   | exception Sys_error _ -> true
 
 let test_forkserver_many_runs () =
-  with_sub_plan ~width:64 ~height:48 @@ fun fused plan ->
+  with_sub_plan ~width:64 ~height:48 ~keep_alive:Float.infinity @@ fun fused plan ->
   let frames = List.init 50 (fun _ -> inputs_for fused) in
   let spawns = Exec.Native.spawns () and compiles = Exec.Native.compiles () in
   let results = List.map (fun inputs -> expect_run "run" plan inputs) frames in
@@ -770,7 +770,7 @@ let test_forkserver_idle_exit () =
   Alcotest.(check bool) "with a new pid" true (server_pid plan <> pid)
 
 let test_forkserver_death_mid_run () =
-  with_sub_plan @@ fun fused plan ->
+  with_sub_plan ~keep_alive:Float.infinity @@ fun fused plan ->
   check_exact "first run" plan (inputs_for fused);
   let pid = server_pid plan in
   let killer =
@@ -795,19 +795,13 @@ let test_forkserver_death_mid_run () =
    no process once its run is answered, and runs that race the exit are
    resent, never failed. *)
 let test_forkserver_no_keep_alive () =
-  let _ = require_toolchain () in
-  let _, fused = fused_app "unsharp" ~width:16 ~height:12 in
-  with_cache_dir @@ fun cache_dir ->
-  match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
-  | Error d -> Alcotest.failf "prepare failed: %s" (Kfuse_util.Diag.to_string d)
-  | Ok plan ->
-    Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
-    for i = 1 to 20 do
-      check_exact (Printf.sprintf "run %d" i) plan (inputs_for fused)
-    done;
-    let pid = server_pid plan in
-    let rec await n = exited pid || (n > 0 && (Thread.delay 0.01; await (n - 1))) in
-    Alcotest.(check bool) "the server exited on its own" true (await 500)
+  with_sub_plan @@ fun fused plan ->
+  for i = 1 to 20 do
+    check_exact (Printf.sprintf "run %d" i) plan (inputs_for fused)
+  done;
+  let pid = server_pid plan in
+  let rec await n = exited pid || (n > 0 && (Thread.delay 0.01; await (n - 1))) in
+  Alcotest.(check bool) "the server exited on its own" true (await 500)
 
 let test_forkserver_release_reaps () =
   let _ = require_toolchain () in
