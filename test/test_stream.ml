@@ -576,10 +576,10 @@ let test_stream_compile_once_bitexact () =
   |> expect_ok
 
 (* The default sandboxed stream runs every frame in a fresh run-child of
-   one fork-server: frames pushed back to back cost one spawn, and a
-   crash, a hang and an OOM mid-stream each fail only their own frame
-   (typed, served by the interpreter) while the next frame is native and
-   exact again. *)
+   one fork-server: frames pushed back to back cost one spawn, a crash,
+   a hang and an OOM mid-stream each fail only their own frame (typed,
+   served by the interpreter) while the next frame is native and exact
+   again, and after an idle pause the next frame starts a new server. *)
 let test_sandboxed_stream_one_spawn () =
   require_toolchain ();
   let contains s sub =
@@ -629,6 +629,15 @@ let test_sandboxed_stream_one_spawn () =
           Alcotest.(check (float 0.0)) ("after " ^ spec ^ ": bit-exact") 0.0
             (num (field "max_abs_diff" reply)))
         [ ("exec.crash@1", "KF0906"); ("exec.hang@1", "KF0905"); ("exec.oom@1", "KF0907") ];
+      (* Idle past the stream's 250 ms keep-alive: the server has gone,
+         and the next frame starts a new one and is exact. *)
+      Thread.delay 0.5;
+      let before = spawns c in
+      let reply = expect_ok (Svc.Client.stream_push c (push_req ~verify:true id)) in
+      native "after an idle pause" (field "exec" reply);
+      Alcotest.(check (float 0.0)) "after an idle pause: bit-exact" 0.0
+        (num (field "max_abs_diff" reply));
+      Alcotest.(check int) "after an idle pause: a new fork-server" 1 (spawns c - before);
       expect_ok (Svc.Client.stream_close c id) |> ignore;
       Ok ())
   |> expect_ok
