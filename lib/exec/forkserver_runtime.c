@@ -83,9 +83,10 @@ static int kf_xfer(int fd, void* buf, size_t len, int out) {
   return 0;
 }
 
-// The run-child: a fresh process per run, with the same rlimits and
-// chaos misbehaviours as a supervised spawn (1 SIGSEGV, 2 hang, 3
-// exhaust a 64 MiB RLIMIT_AS and abort like kf_malloc).
+// The run-child: a fresh process per run, with the request's rlimits.
+// It is the one place the exec.* chaos misbehaviours are carried out
+// (1 SIGSEGV, 2 hang, 3 exhaust a 64 MiB RLIMIT_AS and abort like
+// kf_malloc).
 static void kf_child(int sock, const int64_t* req, double* planes) {
   sigset_t none;
   close(sock);

@@ -35,15 +35,16 @@
 #include <sys/mman.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-/* Sandboxed spawn for the exec supervisor.
+/* The one process spawn of the exec supervisor (Supervisor.Child).
  *
  * OCaml 5 forbids Unix.fork once other domains exist — and both kfused
  * (its fusion-search Pool) and the test runner hold domain pools — so
  * the fork happens here, entirely in C: between fork and exec the
- * child runs only async-signal-safe libc calls (dup2, setrlimit,
+ * child runs only async-signal-safe libc calls (fcntl, dup2, setrlimit,
  * sigprocmask, execvp), never the OCaml runtime.  Every OCaml value is
  * extracted into plain C memory *before* forking.
  *
@@ -54,11 +55,9 @@
  *                                     RLIMIT_FSIZE (bytes); -1 = unlimited.
  *                                     Soft and hard are both set, so the
  *                                     child cannot raise them back.
- *   vmisbehave: int                 — chaos: 0 none, 1 die with SIGSEGV,
- *                                     2 hang forever, 3 exhaust a 64 MiB
- *                                     private RLIMIT_AS and abort (the
- *                                     generated kf_malloc's OOM signature)
  *
+ * The child holds exactly fds 0-2: every other descriptor is closed
+ * before the exec, whoever opened it and however it is flagged.
  * Returns the child pid; raises Failure when fork itself fails.  A
  * failed setrlimit is deliberately non-fatal in the child: the parent's
  * watchdog still covers it. */
@@ -72,9 +71,9 @@ static void kfuse_child_rlimit(int resource, long lim)
   (void)setrlimit(resource, &rl);
 }
 
-value kfuse_spawn(value vargv, value vfds, value vlimits, value vmisbehave)
+value kfuse_spawn(value vargv, value vfds, value vlimits)
 {
-  CAMLparam4(vargv, vfds, vlimits, vmisbehave);
+  CAMLparam3(vargv, vfds, vlimits);
   mlsize_t nargs = Wosize_val(vargv);
   char **argv = calloc(nargs + 1, sizeof(char *));
   if (argv == NULL) caml_failwith("kfuse_spawn: out of memory");
@@ -86,22 +85,18 @@ value kfuse_spawn(value vargv, value vfds, value vlimits, value vmisbehave)
       caml_failwith("kfuse_spawn: out of memory");
     }
   }
-  int fd_in = Int_val(Field(vfds, 0));
-  int fd_out = Int_val(Field(vfds, 1));
-  int fd_err = Int_val(Field(vfds, 2));
+  int fds[3] = { Int_val(Field(vfds, 0)), Int_val(Field(vfds, 1)), Int_val(Field(vfds, 2)) };
   long cpu_s = Long_val(Field(vlimits, 0));
   long mem_bytes = Long_val(Field(vlimits, 1));
   long fsize_bytes = Long_val(Field(vlimits, 2));
-  int misbehave = Int_val(vmisbehave);
 
   pid_t pid = fork();
   if (pid == 0) {
     /* Child.  The parent may have OCaml signal handlers (kfused's
-     * SIGTERM drain, the runtime's SIGSEGV stack-guard handler) and a
-     * thread signal mask; reset both so the watchdog's SIGTERM and the
-     * chaos signals behave as for a fresh process.  (exec would reset
-     * handlers anyway, but the misbehave paths never exec — and the
-     * blocked-signal mask *survives* exec.) */
+     * SIGTERM drain, the runtime's SIGSEGV stack-guard handler), ignored
+     * signals and a thread signal mask; the mask and the ignores survive
+     * exec, so reset them: the watchdog's SIGTERM must work as for a
+     * fresh process. */
     sigset_t empty;
     sigemptyset(&empty);
     (void)sigprocmask(SIG_SETMASK, &empty, NULL);
@@ -110,24 +105,20 @@ value kfuse_spawn(value vargv, value vfds, value vlimits, value vmisbehave)
     (void)signal(SIGSEGV, SIG_DFL);
     (void)signal(SIGABRT, SIG_DFL);
     (void)signal(SIGPIPE, SIG_DFL);
-    if (dup2(fd_in, 0) < 0 || dup2(fd_out, 1) < 0 || dup2(fd_err, 2) < 0)
-      _exit(127);
+    /* Lift the three fds above 2 first, so no dup2 below overwrites one
+     * still to be moved and each dup2 makes a real copy: a copy never
+     * carries close-on-exec, even when its source (every fd the
+     * supervisor opens) does. */
+    for (int i = 0; i < 3; i++)
+      if (fds[i] < 3 && (fds[i] = fcntl(fds[i], F_DUPFD_CLOEXEC, 3)) < 0) _exit(127);
+    for (int i = 0; i < 3; i++)
+      if (dup2(fds[i], i) < 0) _exit(127);
+#ifdef SYS_close_range
+    (void)syscall(SYS_close_range, 3U, ~0U, 0U);
+#endif
     kfuse_child_rlimit(RLIMIT_CPU, cpu_s);
     kfuse_child_rlimit(RLIMIT_AS, mem_bytes);
     kfuse_child_rlimit(RLIMIT_FSIZE, fsize_bytes);
-    switch (misbehave) {
-    case 1:
-      raise(SIGSEGV);
-      _exit(0);
-    case 2:
-      for (;;) pause();
-    case 3:
-      kfuse_child_rlimit(RLIMIT_AS, 64L * 1024 * 1024);
-      for (;;)
-        if (malloc(4 * 1024 * 1024) == NULL) abort();
-    default:
-      break;
-    }
     execvp(argv[0], argv);
     _exit(127);
   }

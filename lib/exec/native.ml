@@ -77,57 +77,23 @@ let runner_args (p : Pipeline.t) ~input ~output ~param =
 let dlopen_wrapper (p : Pipeline.t) =
   let b = Buffer.create 512 in
   let w fmt = Printf.bprintf b fmt in
-  let n = C.sanitize p.Pipeline.name in
-  let n_in = List.length p.Pipeline.inputs in
-  let n_out = List.length (Pipeline.outputs p) in
   w
     "// ABI v2 entry point for the kfuse loader stub: one fixed signature\n\
-     // covers every pipeline shape, so a single dlsym suffices.  The ABI\n\
-     // carries float64 images (lossless against the host's arrays); the\n\
-     // pipeline computes in kf_scalar, so buffers convert at the edge —\n\
-     // except when kf_scalar *is* float64, where the conversion is the\n\
-     // identity and the ABI buffers are used in place.  That branch is\n\
-     // decided on sizeof(kf_scalar), which the compiler folds away; it\n\
-     // is the per-frame streaming path, so it must not allocate.\n";
+     // covers every pipeline shape, so a single dlsym suffices.  The\n\
+     // pipeline computes in float64, the ABI's own scalar, so it runs on\n\
+     // the ABI buffers in place: the per-frame streaming path never\n\
+     // allocates.\n";
+  w "_Static_assert(sizeof(kf_scalar) == sizeof(double), \"ABI v2 buffers are float64\");\n";
   w "void kfuse_entry(const double** ins, double** outs, const double* params) {\n";
   if p.Pipeline.inputs = [] then w "  (void)ins;\n";
   if p.Pipeline.params = [] then w "  (void)params;\n";
-  w "  const size_t npix = (size_t)%d * %d;\n" p.Pipeline.width p.Pipeline.height;
-  w "  size_t i;\n";
-  w "  (void)npix; (void)i;\n";
-  w "  if (sizeof(kf_scalar) == sizeof(double)) {\n";
-  let direct_args =
-    runner_args p
-      ~input:(fun i name -> Printf.sprintf "(const kf_scalar*)ins[%d] /* %s */" i name)
-      ~output:(fun i name -> Printf.sprintf "(kf_scalar*)outs[%d] /* %s */" i name)
-      ~param:(fun i name -> Printf.sprintf "params[%d] /* %s */" i name)
-  in
-  w "    run_%s(%s);\n" n (String.concat ", " direct_args);
-  w "    return;\n";
-  w "  }\n";
-  for j = 0 to n_in - 1 do
-    w "  kf_scalar* b_in%d = (kf_scalar*)kf_malloc(npix * sizeof(kf_scalar));\n" j;
-    w "  for (i = 0; i < npix; i++) b_in%d[i] = (kf_scalar)ins[%d][i];\n" j j
-  done;
-  for j = 0 to n_out - 1 do
-    w "  kf_scalar* b_out%d = (kf_scalar*)kf_malloc(npix * sizeof(kf_scalar));\n" j
-  done;
   let args =
     runner_args p
-      ~input:(fun i name -> Printf.sprintf "b_in%d /* %s */" i name)
-      ~output:(fun i name -> Printf.sprintf "b_out%d /* %s */" i name)
+      ~input:(fun i name -> Printf.sprintf "ins[%d] /* %s */" i name)
+      ~output:(fun i name -> Printf.sprintf "outs[%d] /* %s */" i name)
       ~param:(fun i name -> Printf.sprintf "params[%d] /* %s */" i name)
   in
-  w "  run_%s(%s);\n" n (String.concat ", " args);
-  for j = 0 to n_out - 1 do
-    w "  for (i = 0; i < npix; i++) outs[%d][i] = (double)b_out%d[i];\n" j j
-  done;
-  for j = 0 to n_in - 1 do
-    w "  free(b_in%d);\n" j
-  done;
-  for j = 0 to n_out - 1 do
-    w "  free(b_out%d);\n" j
-  done;
+  w "  run_%s(%s);\n" (C.sanitize p.Pipeline.name) (String.concat ", " args);
   w "}\n";
   Buffer.contents b
 
@@ -163,10 +129,9 @@ let zygote_wrapper (p : Pipeline.t) =
 
 let source ?tile ~mode (p : Pipeline.t) =
   (* Double precision throughout the pipeline: every operation and every
-     inter-kernel store matches the float64 interpreter, so the
-     interpreter-vs-native diff reduces to the float32 ABI boundary
-     (input quantization + final output store), orders of magnitude
-     inside the tolerance gate even for numerically touchy kernels. *)
+     inter-kernel store matches the float64 interpreter, and both
+     wrappers run it in place on float64 buffers (their static asserts
+     hold the lowering to that), so no conversion sits at the edge. *)
   let base = Lower_cpu.emit_pipeline ?tile ~prec:C.Double p in
   let wrapper = match mode with Dlopen -> dlopen_wrapper p | Subprocess -> zygote_wrapper p in
   base ^ "\n" ^ wrapper
@@ -247,21 +212,15 @@ let single_flight ~dest build =
 let run_cc ~tc ~dest ~src_path args =
   let attempt = Atomic.fetch_and_add compile_attempt 1 in
   let tmp = Printf.sprintf "%s.tmp.%d.%d" dest (Unix.getpid ()) attempt in
-  let err_path = Printf.sprintf "%s.log.%d.%d" dest (Unix.getpid ()) attempt in
   (* Supervised fork/exec — no shell — with a wall cap so a wedged
      compiler cannot hang the daemon.  No rlimits: compilers
-     legitimately need memory, and [fault_injection:false] keeps an
-     armed [exec.*] chaos point aimed at executions, not at the
-     compiler. *)
+     legitimately need memory. *)
   let r =
     Supervisor.run
       ~limits:{ Supervisor.no_limits with Supervisor.wall_ms = Some 120_000. }
-      ~fault_injection:false ~stderr_path:err_path
       ~argv:((tc.Toolchain.cc :: args) @ [ "-o"; tmp ])
       ()
   in
-  let log = r.Supervisor.stderr_tail in
-  (try Sys.remove err_path with Sys_error _ -> ());
   match r.Supervisor.status with
   | Error f ->
     (try Sys.remove tmp with Sys_error _ -> ());
@@ -275,7 +234,7 @@ let run_cc ~tc ~dest ~src_path args =
     in
     Error
       (Diag.errorf Diag.Compile_failed "%s %s compiling generated C (%s):\n%s" tc.Toolchain.cc
-         reason src_path log)
+         reason src_path r.Supervisor.stderr_tail)
   | Ok () ->
     (* Atomic publish: concurrent builders race benignly on rename. *)
     Sys.rename tmp dest;

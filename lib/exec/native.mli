@@ -32,17 +32,21 @@
     the pipeline's exact fingerprint ({!Kfuse_cache.Fingerprint.exact}),
     the mode, the tiling, the toolchain and the ABI version, so a cache
     hit skips the compiler entirely.  The generated source is kept next
-    to each artifact for debugging.
+    to each artifact for debugging; besides it and the artifact, a
+    compile names only the compiler's [-o] output, renamed into place
+    (the compiler's stderr goes to a memfd).
 
-    The compiler invocation is a supervised fork/exec child and every
-    {!Subprocess} execution a supervised fork of the plan's server
+    The compiler invocation is a supervised {!Supervisor.run} child and
+    every {!Subprocess} execution a supervised fork of the plan's server
     ({!Supervisor}) — no shell anywhere — so they can be killed on a
-    deadline and, when [limits] are given, sandboxed with rlimits.
+    deadline and, when [limits] are given, sandboxed with rlimits.  The
+    [exec.*] chaos points fire in those run-children only, never in the
+    compiler.
 
     Failures are typed: no toolchain is [KF0902]
     ({!Kfuse_util.Diag.Toolchain_missing}), a compiler rejection is
-    [KF0903] ({!Kfuse_util.Diag.Compile_failed}, carrying the
-    compiler's stderr), and load/run failures are [KF0904]
+    [KF0903] ({!Kfuse_util.Diag.Compile_failed}, carrying the last
+    4 KiB of the compiler's stderr; it counts in no {!compiles}), and load/run failures are [KF0904]
     ({!Kfuse_util.Diag.Exec_failed}); a supervised execution that the
     watchdog kills, that dies on a signal, or that hits an rlimit is
     [KF0905]/[KF0906]/[KF0907] (see {!Supervisor}).  Malformed {e calls}
@@ -83,9 +87,10 @@ type run_result = {
 }
 
 (** [source ?tile ~mode p] is the complete C translation unit compiled
-    for [p] in [mode]: the {!Kfuse_codegen.Lower_cpu.emit_pipeline}
-    output plus the ABI-v2 [kfuse_entry] wrapper ({!Dlopen}) or the
-    fork-server entry and [main] ({!Subprocess}). *)
+    for [p] in [mode]: the float64 {!Kfuse_codegen.Lower_cpu.emit_pipeline}
+    output plus the ABI-v2 [kfuse_entry] wrapper ({!Dlopen}), which runs
+    it on the caller's buffers in place, or the fork-server entry
+    ({!Subprocess}; [main] is the linked fork-server runtime). *)
 val source : ?tile:int * int -> mode:mode -> Pipeline.t -> string
 
 (** [compile ?cache_dir ?tile ~mode p] ensures a compiled artifact for

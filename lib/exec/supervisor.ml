@@ -69,9 +69,9 @@ let signal_name s =
    and a misbehaving child can write arbitrarily much. *)
 let stderr_tail_limit = 4096
 
-let tail_of_fd ?(limit = stderr_tail_limit) fd =
+let tail_of_fd fd =
   let n = (Unix.fstat fd).Unix.st_size in
-  let keep = min n limit in
+  let keep = min n stderr_tail_limit in
   if keep = 0 then ""
   else begin
     ignore (Unix.lseek fd (n - keep) Unix.SEEK_SET);
@@ -84,108 +84,152 @@ let tail_of_fd ?(limit = stderr_tail_limit) fd =
     if keep < n then "[... truncated ...]\n" ^ s else s
   end
 
-let read_tail ?limit path =
-  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error _ -> ""
-  | fd ->
-    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-        try tail_of_fd ?limit fd with Unix.Unix_error _ -> "")
+(* {1 Stubs (kfuse_exec_stubs.c)} *)
+
+(* The whole fork/dup2/setrlimit/exec sequence lives in a C stub:
+   OCaml 5 forbids [Unix.fork] once other domains exist — and both
+   kfused's fusion pool and the test runner create domains — while a
+   C-side fork whose child runs only async-signal-safe libc calls and
+   never re-enters the OCaml runtime is fine.  The three fds become the
+   child's 0-2 and it holds no other.  Limits are [RLIMIT_CPU (s);
+   RLIMIT_AS; RLIMIT_FSIZE], -1 for unlimited.  Returns the child pid;
+   raises [Failure] when the fork itself fails. *)
+external raw_spawn :
+  string array -> Unix.file_descr * Unix.file_descr * Unix.file_descr -> int array -> int
+  = "kfuse_spawn"
+
+(* A close-on-exec memfd of the given size, its size sealed if asked. *)
+external memfd : string -> int -> bool -> Unix.file_descr = "kfuse_memfd"
+
+let limit_value = function None -> -1 | Some v -> v
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* {1 Child processes} *)
+
+(* Every process this module starts is a [Child.t]: the compiler under
+   [run], a plan's fork-server, a shard.  One latched [poll], one
+   [signal] and one watchdog [wait] serve them all. *)
+module Child = struct
+  type t = {
+    pid : int;
+    group : bool;  (* leads its own process group: signal the group too *)
+    lock : Mutex.t;
+    mutable reaped : Unix.process_status option;
+        (* waitpid races: the monitor thread and the drain path may both
+           poll; the first reap latches the status for everyone else. *)
+  }
+
+  let pid t = t.pid
+
+  let start ?(limits = no_limits) ?(group = false) fds argv =
+    match argv with
+    | [] -> Error "empty argv"
+    | _ -> (
+      let lims =
+        [| limit_value limits.cpu_s; limit_value limits.mem_bytes; limit_value limits.fsize_bytes |]
+      in
+      match raw_spawn (Array.of_list argv) fds lims with
+      | pid -> Ok { pid; group; lock = Mutex.create (); reaped = None }
+      | exception Failure reason -> Error reason)
+
+  let spawn ?log ~argv () =
+    let opened = ref [] in
+    let open_ path flags =
+      let fd = Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o600 in
+      opened := fd :: !opened;
+      fd
+    in
+    Fun.protect ~finally:(fun () -> List.iter close_quietly !opened) @@ fun () ->
+    match
+      let null = open_ "/dev/null" [ Unix.O_RDWR ] in
+      let out =
+        match log with
+        | None -> null
+        | Some path -> open_ path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
+      in
+      (null, out)
+    with
+    | exception Unix.Unix_error (e, _, p) ->
+      Error (Printf.sprintf "cannot open %s: %s" p (Unix.error_message e))
+    | null, out -> start (null, out, out) argv
+
+  (* Non-blocking reap: [None] while the child is still running, the
+     latched exit status once it is gone.  Never raises — an ECHILD
+     (someone else reaped it) degrades to a synthetic 0 exit. *)
+  let poll t =
+    Mutex.lock t.lock;
+    let r =
+      match t.reaped with
+      | Some _ as s -> s
+      | None -> (
+        match Unix.waitpid [ Unix.WNOHANG ] t.pid with
+        | 0, _ -> None
+        | _, st ->
+          t.reaped <- Some st;
+          Some st
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
+          let st = Unix.WEXITED 0 in
+          t.reaped <- Some st;
+          Some st)
+    in
+    Mutex.unlock t.lock;
+    r
+
+  let running t = poll t = None
+
+  (* Until the reap the pid (and a group's id) cannot be recycled, so no
+     signal reaches a stranger; a dead but unreaped child is still
+     signalled, which is how a group kill reaches what it left behind. *)
+  let signal t s =
+    Mutex.lock t.lock;
+    if t.reaped = None then begin
+      if t.group then (try Unix.kill (-t.pid) s with Unix.Unix_error _ -> ());
+      try Unix.kill t.pid s with Unix.Unix_error _ -> ()
+    end;
+    Mutex.unlock t.lock
+
+  let kill t = signal t Sys.sigkill
+
+  (* The one watchdog: SIGTERM once [wall_ms] has passed since the call
+     (never without one), SIGKILL [grace_ms] after that, and the reap,
+     polled every millisecond.  Returns the status, the wall time, and
+     whether the watchdog fired and escalated. *)
+  let wait ?wall_ms ~grace_ms t =
+    let t0 = Unix.gettimeofday () in
+    let rec go term_at escalated =
+      let now = Unix.gettimeofday () in
+      let term_at =
+        match (term_at, wall_ms) with
+        | None, Some w when (now -. t0) *. 1000. >= w ->
+          signal t Sys.sigterm;
+          Some now
+        | _ -> term_at
+      in
+      let escalated =
+        match term_at with
+        | Some at when (not escalated) && (now -. at) *. 1000. >= grace_ms ->
+          kill t;
+          true
+        | _ -> escalated
+      in
+      match poll t with
+      | Some st -> (st, (Unix.gettimeofday () -. t0) *. 1000., term_at <> None, escalated)
+      | None ->
+        Unix.sleepf 0.001;
+        go term_at escalated
+    in
+    go None false
+
+  let terminate ?(grace_ms = 2_000.) t =
+    let st, _, _, _ = wait ~wall_ms:0. ~grace_ms t in
+    st
+end
 
 (* {1 Chaos misbehaviour (exec.* fault points)} *)
 
 type misbehave = No_fault | Fault_crash | Fault_hang | Fault_oom
-
-(* {1 Spawn + watchdog} *)
-
-(* The whole fork/dup2/setrlimit/exec sequence lives in a C stub
-   ([kfuse_spawn] in kfuse_exec_stubs.c): OCaml 5 forbids [Unix.fork]
-   once other domains exist — and both kfused's fusion pool and the
-   test runner create domains — while a C-side fork whose child runs
-   only async-signal-safe libc calls and never re-enters the OCaml
-   runtime is fine.  The chaos misbehaviours execute in the child, so
-   they are implemented in the stub too ([Fault_crash] = die with
-   SIGSEGV, [Fault_hang] = pause forever, [Fault_oom] = exhaust a
-   64 MiB private RLIMIT_AS and abort() the way the generated
-   kf_malloc does); the *decision* of which one fires is still drawn
-   in the parent (see [run]), because the Faults registry holds a
-   mutex.  Limits are [RLIMIT_CPU (s); RLIMIT_AS; RLIMIT_FSIZE], -1
-   for unlimited.  Returns the child pid; raises [Failure] when the
-   fork itself fails. *)
-external raw_spawn :
-  string array ->
-  Unix.file_descr * Unix.file_descr * Unix.file_descr ->
-  int array ->
-  int ->
-  int = "kfuse_spawn"
-
-let misbehave_code = function
-  | No_fault -> 0
-  | Fault_crash -> 1
-  | Fault_hang -> 2
-  | Fault_oom -> 3
-
-(* Fault decisions happen in the parent: the Faults registry holds a
-   mutex, which must not be touched between fork and exec. *)
-let draw_misbehave () =
-  if Faults.fires "exec.crash" then Fault_crash
-  else if Faults.fires "exec.hang" then Fault_hang
-  else if Faults.fires "exec.oom" then Fault_oom
-  else No_fault
-
-let limit_value = function None -> -1 | Some v -> v
-
-let spawn ~limits ~misbehave ~stdout_fd ~stderr_fd ~devnull argv =
-  match argv with
-  | [] -> Error "empty argv"
-  | _ -> (
-    let lims =
-      [| limit_value limits.cpu_s; limit_value limits.mem_bytes; limit_value limits.fsize_bytes |]
-    in
-    match
-      raw_spawn (Array.of_list argv)
-        (devnull, stdout_fd, stderr_fd)
-        lims (misbehave_code misbehave)
-    with
-    | pid -> Ok pid
-    | exception Failure reason -> Error reason)
-
-(* Wait for [pid], killing it when [wall_ms] elapses: SIGTERM first,
-   SIGKILL after [grace_ms] if it refuses to die.  Returns the status,
-   the observed wall time, and whether the watchdog fired/escalated. *)
-let wait_with_watchdog ~pid ~wall_ms ~grace_ms =
-  let t0 = Unix.gettimeofday () in
-  match wall_ms with
-  | None ->
-    let rec wait () =
-      match Unix.waitpid [] pid with
-      | _, st -> st
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-    in
-    let st = wait () in
-    (st, (Unix.gettimeofday () -. t0) *. 1000., false, false)
-  | Some wall ->
-    let kill_at = t0 +. (wall /. 1000.) in
-    let term_at = ref None in
-    let escalated = ref false in
-    let rec poll () =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-        let now = Unix.gettimeofday () in
-        (match !term_at with
-        | None when now >= kill_at ->
-          (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-          term_at := Some now
-        | Some t when (not !escalated) && now -. t >= grace_ms /. 1000. ->
-          escalated := true;
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-        | _ -> ());
-        Unix.sleepf 0.002;
-        poll ()
-      | _, st -> st
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll ()
-    in
-    let st = poll () in
-    (st, (Unix.gettimeofday () -. t0) *. 1000., !term_at <> None, !escalated)
 
 (* {1 Classification} *)
 
@@ -231,42 +275,29 @@ let wall_budget ~deadline ~(limits : limits) =
 let expired_run =
   { status = Error (Timeout { wall_ms = 0.; escalated = false }); wall_ms = 0.; stderr_tail = "" }
 
-let run ?(deadline = Deadline.none) ?(limits = no_limits) ?(grace_ms = default_grace_ms)
-    ?(fault_injection = true) ?stdout_path ?stderr_path ~argv () =
-  let wall_ms = wall_budget ~deadline ~limits in
-  match wall_ms with
+let spawn_failed reason = { status = Error (Spawn_failed { reason }); wall_ms = 0.; stderr_tail = "" }
+
+let run ?(deadline = Deadline.none) ?(limits = no_limits) ~argv () =
+  match wall_budget ~deadline ~limits with
   | Some w when w <= 0. ->
     (* The deadline is already gone: don't even spawn. *)
     expired_run
-  | _ ->
-    let misbehave = if fault_injection then draw_misbehave () else No_fault in
-    let own_stderr = stderr_path = None in
-    let err_path =
-      match stderr_path with Some p -> p | None -> Filename.temp_file "kfuse-sup" ".err"
-    in
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-    let stdout_fd =
-      match stdout_path with
-      | None -> devnull
-      | Some p -> Unix.openfile p [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
-    in
-    let stderr_fd = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close devnull with Unix.Unix_error _ -> ());
-        (if stdout_fd != devnull then try Unix.close stdout_fd with Unix.Unix_error _ -> ());
-        (try Unix.close stderr_fd with Unix.Unix_error _ -> ());
-        if own_stderr then try Sys.remove err_path with Sys_error _ -> ())
-      (fun () ->
-        match spawn ~limits ~misbehave ~stdout_fd ~stderr_fd ~devnull argv with
-        | Error reason ->
-          { status = Error (Spawn_failed { reason }); wall_ms = 0.; stderr_tail = "" }
-        | Ok pid ->
-          let status, wall, watchdog_fired, escalated =
-            wait_with_watchdog ~pid ~wall_ms ~grace_ms
-          in
-          let status = classify ~limits ~misbehave ~watchdog_fired ~escalated ~wall status in
-          { status; wall_ms = wall; stderr_tail = read_tail err_path })
+  | wall_ms -> (
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+    Fun.protect ~finally:(fun () -> close_quietly null) @@ fun () ->
+    let err = memfd "kfuse-stderr" 0 false in
+    Fun.protect ~finally:(fun () -> close_quietly err) @@ fun () ->
+    match Child.start ~limits (null, null, err) argv with
+    | Error reason -> spawn_failed reason
+    | Ok c ->
+      let status, wall, watchdog_fired, escalated =
+        Child.wait ?wall_ms ~grace_ms:default_grace_ms c
+      in
+      {
+        status = classify ~limits ~misbehave:No_fault ~watchdog_fired ~escalated ~wall status;
+        wall_ms = wall;
+        stderr_tail = (try tail_of_fd err with Unix.Unix_error _ -> "");
+      })
 
 let failure_diag ~what r =
   match r.status with
@@ -293,9 +324,9 @@ let failure_diag ~what r =
    [run] spawns and execs per run; a pinned subprocess plan instead
    keeps one fork-server (the artifact's own [main], see
    forkserver_runtime.c) that forks a fresh run-child per run.  The
-   rlimits, the chaos misbehaviours, the watchdog and the
-   classification are those of [run]; only the exec and the files are
-   gone. *)
+   rlimits, the watchdog and the classification are those of [run];
+   only the exec and the files are gone.  The [exec.*] chaos
+   misbehaviours exist only here: the run-child carries them out. *)
 module Forkserver = struct
   (* Mirrors forkserver_runtime.c. *)
   let magic = 0x4b465a34L (* "KFZ4" *)
@@ -304,7 +335,6 @@ module Forkserver = struct
 
   (* {1 Stubs (kfuse_exec_stubs.c)} *)
 
-  external memfd : string -> int -> bool -> Unix.file_descr = "kfuse_memfd"
   external plane_write : Unix.file_descr -> int -> float array -> unit = "kfuse_plane_write"
   external plane_read : Unix.file_descr -> int -> float array -> unit = "kfuse_plane_read"
   external send_all : Unix.file_descr -> bytes -> unit = "kfuse_send_all"
@@ -313,7 +343,7 @@ module Forkserver = struct
   let spawn_count = Atomic.make 0
   let spawns () = Atomic.get spawn_count
 
-  type server = { pid : int; sock : Unix.file_descr }
+  type server = { child : Child.t; sock : Unix.file_descr }
 
   type t = {
     artifact : string;
@@ -366,60 +396,53 @@ module Forkserver = struct
   let load t ~offset a = plane_read (fst (fds t)) offset a
   let stderr_tail t = try tail_of_fd (snd (fds t)) with Unix.Unix_error _ -> ""
 
-  let pid t = Option.map (fun s -> s.pid) t.server
+  let pid t = Option.map (fun s -> Child.pid s.child) t.server
 
   let start t =
     let planes, err = fds t in
     let mine, theirs = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (* The server gets the socket, the planes and stderr as fds 0-2. *)
-    let spawned =
-      spawn ~limits:no_limits ~misbehave:No_fault ~devnull:theirs ~stdout_fd:planes
-        ~stderr_fd:err [ t.artifact ]
-    in
+    (* The server gets the socket, the planes and stderr as fds 0-2, and
+       makes itself a process group. *)
+    let spawned = Child.start ~group:true (theirs, planes, err) [ t.artifact ] in
     Unix.close theirs;
     match spawned with
     | Error _ as e ->
       Unix.close mine;
       e
-    | Ok pid ->
+    | Ok child ->
       Atomic.incr spawn_count;
-      let s = { pid; sock = mine } in
+      let s = { child; sock = mine } in
       t.server <- Some s;
       Ok s
 
-  let rec waitpid_status pid =
-    match Unix.waitpid [] pid with
-    | _, st -> st
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_status pid
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 0
-
-  (* Kill a server's process group (itself and any run-child it left
-     behind) and reap it.  The pid cannot be recycled before the reap, so
-     neither signal can reach a stranger. *)
-  let kill_and_reap pid =
-    (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    waitpid_status pid
-
   let forget t s =
     t.server <- None;
-    try Unix.close s.sock with Unix.Unix_error _ -> ()
+    close_quietly s.sock
 
+  (* Kill the server's process group (itself and any run-child it left
+     behind) and reap it. *)
   let drop t s =
     forget t s;
-    kill_and_reap s.pid
+    Child.terminate ~grace_ms:0. s.child
 
   (* A server that exited since the last run (its idle timeout) is reaped
      here, before the next request is written to it. *)
   let reap_if_exited t =
-    match t.server with
-    | Some s -> (
-      match Unix.waitpid [ Unix.WNOHANG ] s.pid with
-      | 0, _ -> ()
-      | _ -> forget t s
-      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> forget t s
-      | exception Unix.Unix_error _ -> ())
-    | None -> ()
+    match t.server with Some s when Child.poll s.child <> None -> forget t s | _ -> ()
+
+  (* Fault decisions happen here, in the caller: the Faults registry
+     holds a mutex, and the run-child only carries them out. *)
+  let draw_misbehave () =
+    if Faults.fires "exec.crash" then Fault_crash
+    else if Faults.fires "exec.hang" then Fault_hang
+    else if Faults.fires "exec.oom" then Fault_oom
+    else No_fault
+
+  let misbehave_code = function
+    | No_fault -> 0
+    | Fault_crash -> 1
+    | Fault_hang -> 2
+    | Fault_oom -> 3
 
   let request ~wall ~(limits : limits) ~misbehave ~keep_alive_ms =
     let b = Bytes.make (8 * request_words) '\000' in
@@ -477,8 +500,6 @@ module Forkserver = struct
     in
     { status; wall_ms; stderr_tail }
 
-  let failed reason = { status = Error (Spawn_failed { reason }); wall_ms = 0.; stderr_tail = "" }
-
   (* Past the server's own SIGTERM -> SIGKILL schedule, plus slack for a
      loaded host: only a wedged server misses it. *)
   let backstop_slack_ms = 1_000.
@@ -498,7 +519,7 @@ module Forkserver = struct
       reap_if_exited t;
       let rec attempt ~resend =
         match match t.server with Some s -> Ok s | None -> start t with
-        | Error reason -> failed reason
+        | Error reason -> spawn_failed reason
         | Ok s -> (
           match exchange s req ~backstop_s with
           | `Reply rep -> classify t ~limits ~misbehave rep
@@ -520,14 +541,14 @@ module Forkserver = struct
                 | Unix.WEXITED c -> Printf.sprintf "exited with %d" c
                 | Unix.WSIGNALED sg | Unix.WSTOPPED sg -> "killed by " ^ signal_name sg
               in
-              { (failed ("the plan's fork-server died mid-run (" ^ how ^ ")")) with
+              { (spawn_failed ("the plan's fork-server died mid-run (" ^ how ^ ")")) with
                 stderr_tail = stderr_tail t }))
       in
       attempt ~resend:true
 
   (* Closing the socket is the release signal: an idle server sees EOF and
-     exits 0 at once.  It is killed only if it has not gone within a
-     second. *)
+     exits 0 at once.  Its group is killed only if it has not gone within
+     a second. *)
   let release t =
     Mutex.lock t.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
@@ -536,144 +557,14 @@ module Forkserver = struct
       Option.iter
         (fun s ->
           forget t s;
-          let rec wait n =
-            match Unix.waitpid [ Unix.WNOHANG ] s.pid with
-            | 0, _ when n > 0 ->
-              Unix.sleepf 0.001;
-              wait (n - 1)
-            | 0, _ -> ignore (kill_and_reap s.pid)
-            | _ -> ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait n
-            | exception Unix.Unix_error _ -> ()
-          in
-          wait 1000)
+          ignore (Child.wait ~wall_ms:1_000. ~grace_ms:0. s.child))
         t.server;
-      let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
-      Option.iter (fun (planes, err) -> close planes; close err) t.fds;
+      Option.iter (fun (planes, err) -> close_quietly planes; close_quietly err) t.fds;
       t.fds <- None
     end
 end
 
-(* {1 Long-lived supervised children} *)
 
-(* [run] above is spawn-and-wait: right for a native plan execution that
-   is supposed to finish.  A shard of the sharded kfused topology is the
-   opposite — a server process that is supposed to *keep running* — so
-   the fleet supervisor needs the same C-stub spawn (no [Unix.fork] once
-   domains exist) but with ownership of the child's lifetime split
-   across many monitor ticks: non-blocking liveness polls, best-effort
-   signals, and a bounded terminate-then-escalate teardown. *)
-module Child = struct
-  type t = {
-    pid : int;
-    mutable reaped : Unix.process_status option;
-    (* waitpid races: the monitor thread and the drain path may both
-       poll; the first reap latches the status for everyone else. *)
-    lock : Mutex.t;
-  }
-
-  let pid t = t.pid
-
-  let open_sink ~append = function
-    | None -> None
-    | Some path ->
-      let flags =
-        Unix.O_WRONLY :: Unix.O_CREAT :: (if append then [ Unix.O_APPEND ] else [ Unix.O_TRUNC ])
-      in
-      Some (Unix.openfile path flags 0o600)
-
-  let spawn ?(limits = no_limits) ?stdout_path ?stderr_path ?(append = true) ~argv () =
-    match argv with
-    | [] -> Error "empty argv"
-    | _ -> (
-      let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-      let close_all fds = List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds in
-      match
-        let stdout_fd = open_sink ~append stdout_path in
-        let stderr_fd =
-          (* stderr may share stdout's sink: one shard log per shard. *)
-          if stderr_path = stdout_path then stdout_fd else open_sink ~append stderr_path
-        in
-        (stdout_fd, stderr_fd)
-      with
-      | exception Unix.Unix_error (e, _, p) ->
-        close_all [ devnull ];
-        Error (Printf.sprintf "cannot open %s: %s" p (Unix.error_message e))
-      | stdout_fd, stderr_fd -> (
-        let out = Option.value ~default:devnull stdout_fd in
-        let err = Option.value ~default:out stderr_fd in
-        let owned =
-          devnull
-          :: (Option.to_list stdout_fd
-             @ if stderr_fd <> None && stderr_fd <> stdout_fd then Option.to_list stderr_fd else [])
-        in
-        match spawn ~limits ~misbehave:No_fault ~stdout_fd:out ~stderr_fd:err ~devnull argv with
-        | Error _ as e ->
-          close_all owned;
-          e
-        | Ok pid ->
-          close_all owned;
-          Ok { pid; reaped = None; lock = Mutex.create () }))
-
-  (* Non-blocking reap: [None] while the child is still running, the
-     latched exit status once it is gone.  Never raises — an ECHILD
-     (someone else reaped it) degrades to a synthetic 0 exit. *)
-  let poll t =
-    Mutex.lock t.lock;
-    let r =
-      match t.reaped with
-      | Some _ as s -> s
-      | None -> (
-        match Unix.waitpid [ Unix.WNOHANG ] t.pid with
-        | 0, _ -> None
-        | _, st ->
-          t.reaped <- Some st;
-          Some st
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> None
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-          let st = Unix.WEXITED 0 in
-          t.reaped <- Some st;
-          Some st)
-    in
-    Mutex.unlock t.lock;
-    r
-
-  let running t = poll t = None
-
-  let signal t s = if poll t = None then try Unix.kill t.pid s with Unix.Unix_error _ -> ()
-
-  let kill t = signal t Sys.sigkill
-
-  (* SIGTERM, wait up to [grace_ms] for a clean exit, SIGKILL past it,
-     then reap.  Idempotent; returns the (possibly latched) status. *)
-  let terminate ?(grace_ms = 2_000.) t =
-    signal t Sys.sigterm;
-    let deadline = Unix.gettimeofday () +. (grace_ms /. 1000.) in
-    let rec wait_grace () =
-      match poll t with
-      | Some st -> st
-      | None ->
-        if Unix.gettimeofday () >= deadline then begin
-          kill t;
-          let rec reap () =
-            match Unix.waitpid [] t.pid with
-            | _, st ->
-              Mutex.lock t.lock;
-              t.reaped <- Some st;
-              Mutex.unlock t.lock;
-              st
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-            | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 0
-          in
-          reap ()
-        end
-        else begin
-          Unix.sleepf 0.005;
-          wait_grace ()
-        end
-    in
-    wait_grace ()
-end
 
 (* {1 Crash forensics} *)
 

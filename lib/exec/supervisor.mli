@@ -1,10 +1,13 @@
 (** Supervised, sandboxed execution of native artifacts.
 
     [kfused] runs {e generated machine code}; this module is what keeps
-    the daemon alive when that code is wrong.  Every supervised
-    execution is a child process — no shell — either a [fork]/[exec]
-    child ({!run}, e.g. the compiler) or a run-child forked by a
-    pinned plan's {!Forkserver} (every native plan execution), with:
+    the daemon alive when that code is wrong.  Every process it starts
+    is a {!Child} — no shell, fds 0-2 only, one latched reap and one
+    SIGTERM → SIGKILL watchdog — whether it is the compiler under
+    {!run}, a pinned plan's {!Forkserver} or a shard of the sharded
+    topology.  Every supervised execution is either a {!run} child
+    (the compiler) or a run-child forked by a pinned plan's
+    {!Forkserver} (every native plan execution), with:
 
     - [setrlimit] caps (CPU seconds, address space, output file size,
       soft = hard) applied in the child before the code runs, so a
@@ -25,12 +28,13 @@
     failing, degrading them to the interpreter.
 
     Chaos fault points (armed via [KFUSE_FAULTS], see
-    {!Kfuse_util.Faults}): ["exec.crash"] makes the child die with
-    SIGSEGV, ["exec.hang"] makes it sleep forever (the watchdog must
-    reap it), ["exec.oom"] makes it exhaust a tiny private RLIMIT_AS and
-    abort like the generated [kf_malloc] does.  The fault decision is
-    drawn in the calling process and carried to the child, which
-    misbehaves the same way whichever spawn made it. *)
+    {!Kfuse_util.Faults}) fire in a {!Forkserver}'s run-children only,
+    never in a {!run} child or any other spawn: ["exec.crash"] makes the
+    run-child die with SIGSEGV, ["exec.hang"] makes it sleep forever
+    (the watchdog must reap it), ["exec.oom"] makes it exhaust a tiny
+    private RLIMIT_AS and abort like the generated [kf_malloc] does.
+    The fault decision is drawn by {!Forkserver.run} and carried to the
+    run-child in the request. *)
 
 module Diag = Kfuse_util.Diag
 module Deadline = Kfuse_util.Deadline
@@ -91,28 +95,15 @@ type run = {
   stderr_tail : string;  (** last ≤4 KiB of the child's stderr *)
 }
 
-val run :
-  ?deadline:Deadline.t ->
-  ?limits:limits ->
-  ?grace_ms:float ->
-  ?fault_injection:bool ->
-  ?stdout_path:string ->
-  ?stderr_path:string ->
-  argv:string list ->
-  unit ->
-  run
-(** [run ~argv ()] forks and execs [argv] (via [PATH] lookup, never a
-    shell) and waits for it under the watchdog.  The effective wall cap
-    is the minimum of [Deadline.remaining_ms deadline] and
+val run : ?deadline:Deadline.t -> ?limits:limits -> argv:string list -> unit -> run
+(** [run ~argv ()] spawns [argv] as a {!Child} (via [PATH] lookup, never
+    a shell) and waits for it under the watchdog.  The effective wall
+    cap is the minimum of [Deadline.remaining_ms deadline] and
     [limits.wall_ms]; when the deadline is already expired the child is
-    not spawned at all and the result is a {!Timeout}.  [grace_ms]
-    (default 500) is the SIGTERM→SIGKILL escalation delay.  stdout goes
-    to [stdout_path] (default [/dev/null]); stderr is captured to
-    [stderr_path] (default: a private temp file, removed afterwards) and
-    returned as a capped tail.  [fault_injection] (default [true])
-    enables the [exec.*] chaos points — the compile path disables it so
-    an armed ["exec.crash"] hits executions, not compiler invocations.
-    Never raises: spawn problems come back as {!Spawn_failed}. *)
+    not spawned at all and the result is a {!Timeout}.  SIGKILL follows
+    SIGTERM after 500 ms.  stdin and stdout are [/dev/null]; stderr goes
+    to a close-on-exec memfd, so no file is named, and comes back as a
+    capped tail.  Spawn problems come back as {!Spawn_failed}. *)
 
 val failure_diag : what:string -> run -> Diag.t option
 (** [failure_diag ~what r] is [None] on success, otherwise the typed
@@ -127,10 +118,6 @@ val signal_name : int -> string
 
 val stderr_tail_limit : int
 (** 4096: the stderr capture cap, in bytes. *)
-
-val read_tail : ?limit:int -> string -> string
-(** Last [limit] (default {!stderr_tail_limit}) bytes of a file, with a
-    truncation marker when shortened; [""] when unreadable. *)
 
 (** {1 Fork-server of a pinned plan}
 
@@ -148,9 +135,8 @@ val read_tail : ?limit:int -> string -> string
     file or a per-pixel copy.
 
     Lifecycle:
-    - the server is started (through the same C spawn stub as every
-      supervised child) by the first {!Forkserver.run}, and counted by
-      {!Forkserver.spawns};
+    - the server is a {!Child}, started by the first {!Forkserver.run}
+      and counted by {!Forkserver.spawns};
     - after each reply it waits for the next request only for the
       plan's keep-alive ({!Forkserver.set_keep_alive}, default 0: it
       exits as soon as the run is answered), then exits 0 on its own,
@@ -159,10 +145,11 @@ val read_tail : ?limit:int -> string -> string
     - a server that dies mid-run is reaped, the run fails typed
       ([KF0904]) and the next run starts a new one;
     - a reply overdue past the wall budget + grace + 1 s means the
-      server itself is wedged: its process group is SIGKILLed and the
-      run is a {!Timeout};
+      server itself is wedged: its process group is killed and the run
+      is a {!Timeout};
     - {!Forkserver.release} closes the socket, the server exits on EOF,
-      and it is reaped (killed if it has not gone within a second).
+      and it is reaped (its group killed if it has not gone within a
+      second).
 
     The caller's ends of the socket and memfds are close-on-exec, so a
     child spawned meanwhile (a compiler run, another plan's server)
@@ -200,7 +187,7 @@ module Forkserver : sig
   (** One run in a fresh run-child, under the effective wall budget of
       [deadline] and [limits.wall_ms] (an already-spent budget starts
       nothing and is a {!Timeout}) and with [limits]'s rlimits.  The
-      [exec.crash|hang|oom] chaos decision is drawn here, as in {!run},
+      [exec.crash|hang|oom] chaos decision is drawn here, and only here,
       and carried in the request.  Call inside {!exclusive}.  Never
       raises. *)
 
@@ -214,33 +201,28 @@ module Forkserver : sig
   (** Process-wide count of servers started since startup. *)
 end
 
-(** {1 Long-lived supervised children}
+(** {1 Child processes}
 
-    {!run} is spawn-and-wait; a shard of the sharded [kfused] topology
-    is a server process that must {e keep} running.  {!Child} exposes
-    the same no-[Unix.fork] C-stub spawn with the lifetime split across
-    monitor ticks: non-blocking liveness polls, best-effort signals, and
-    a bounded SIGTERM→SIGKILL teardown.  Thread-safe: the first
-    successful reap latches the exit status for every later caller. *)
+    Every process this module starts: the {!run} child, a
+    {!Forkserver}'s server and, through {!Child.spawn}, a shard of the
+    sharded [kfused] topology, a server process that must {e keep}
+    running.  A child is spawned by a C stub (no [Unix.fork] once
+    domains exist) with exactly fds 0-2: every descriptor this module
+    opens is close-on-exec, and the stub closes any other before the
+    exec.  Its lifetime can be split across monitor ticks: non-blocking
+    liveness polls, best-effort signals, and one bounded
+    SIGTERM → SIGKILL → reap wait, which is also {!run}'s watchdog and
+    the fork-server's backstop.  Thread-safe: the first successful reap
+    latches the exit status for every later caller. *)
 module Child : sig
   type t
 
-  val spawn :
-    ?limits:limits ->
-    ?stdout_path:string ->
-    ?stderr_path:string ->
-    ?append:bool ->
-    argv:string list ->
-    unit ->
-    (t, string) result
+  val spawn : ?log:string -> argv:string list -> unit -> (t, string) result
   (** Fork and exec [argv] (via [PATH], never a shell) and return
-      immediately.  stdin is [/dev/null]; stdout/stderr go to the named
-      paths (opened [O_APPEND] by default so restart logs accumulate;
-      [~append:false] truncates), both defaulting to [/dev/null] —
-      [stderr_path] equal to [stdout_path] shares one fd.  [limits]
-      (default {!no_limits}) applies the usual rlimits between fork and
-      exec.  Chaos misbehaviours never fire here: a supervised server is
-      made to misbehave through its own fault points, not the spawn. *)
+      immediately.  stdin is [/dev/null]; stdout and stderr both go to
+      [log], opened [O_APPEND] so restart logs accumulate, or to
+      [/dev/null].  No rlimits and no chaos: a supervised server is made
+      to misbehave through its own fault points, not the spawn. *)
 
   val pid : t -> int
 
@@ -253,15 +235,17 @@ module Child : sig
 
   val signal : t -> int -> unit
   (** Best-effort [kill]: a no-op once the child has been reaped (so a
-      recycled pid is never signalled) or when the kernel refuses. *)
+      recycled pid is never signalled) or when the kernel refuses.  A
+      fork-server's signals go to its whole process group. *)
 
   val kill : t -> unit
   (** [signal t Sys.sigkill]. *)
 
   val terminate : ?grace_ms:float -> t -> Unix.process_status
-  (** SIGTERM, wait up to [grace_ms] (default 2000) for a clean exit,
-      SIGKILL past it, then reap.  Idempotent; returns the (possibly
-      already latched) status. *)
+  (** The watchdog wait with its deadline already passed: SIGTERM at
+      once, SIGKILL [grace_ms] (default 2000) later if the child is still
+      there, then reap.  Idempotent; returns the (possibly already
+      latched) status. *)
 end
 
 (** {1 Crash forensics} *)

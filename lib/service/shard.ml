@@ -132,9 +132,7 @@ let record_failure cfg t ~now ~what =
   end
 
 let spawn_now cfg t ~now =
-  match
-    Child.spawn ~stdout_path:t.log ~stderr_path:t.log ~append:true ~argv:t.argv ()
-  with
+  match Child.spawn ~log:t.log ~argv:t.argv () with
   | Ok c ->
     t.child <- Some c;
     t.spawns <- t.spawns + 1;

@@ -97,6 +97,24 @@ let test_emit_golden_double_tiled () =
   if contains "sqrtf(" src || contains "0.25f" src then
     Alcotest.failf "double-precision emission leaked a float32 spelling:\n%s" src
 
+(* The dlopen entry runs the float64 pipeline on the ABI buffers in
+   place: no allocation or conversion in [kfuse_entry]. *)
+let test_dlopen_entry_in_place () =
+  let _, fused = fused_app "unsharp" ~width:16 ~height:12 in
+  let src = Exec.Native.source ~mode:Exec.Native.Dlopen fused in
+  let marker = "void kfuse_entry(" in
+  let n = String.length marker in
+  let rec entry i =
+    if i + n > String.length src then Alcotest.failf "no kfuse_entry in:\n%s" src
+    else if String.sub src i n = marker then String.sub src i (String.length src - i)
+    else entry (i + 1)
+  in
+  let entry = entry 0 in
+  check_fragments "dlopen wrapper" src
+    [ "_Static_assert(sizeof(kf_scalar) == sizeof(double)"; "run_unsharp(ins[0]" ];
+  if contains "kf_malloc(" entry || contains "free(" entry then
+    Alcotest.failf "kfuse_entry allocates:\n%s" entry
+
 let test_emit_border_helpers () =
   let p =
     Ir.Pipeline.create ~name:"borders" ~width:9 ~height:7 ~inputs:[ "a" ]
@@ -397,7 +415,7 @@ let compile_fixture name source =
   let bin = Filename.concat dir name in
   Out_channel.with_open_text src (fun oc -> output_string oc source);
   let r =
-    Sup.run ~fault_injection:false
+    Sup.run
       ~limits:{ Sup.no_limits with Sup.wall_ms = Some 60_000. }
       ~argv:[ t.Exec.Toolchain.cc; "-O0"; "-o"; bin; src ]
       ()
@@ -412,7 +430,7 @@ let test_supervisor_crash_kf0906 () =
     compile_fixture "crasher"
       "int main(void) { volatile int *p = 0; *p = 1; return 0; }\n"
   in
-  let r = Sup.run ~fault_injection:false ~argv:[ bin ] () in
+  let r = Sup.run ~argv:[ bin ] () in
   (match expect_failure r with
   | Sup.Crashed { signal } ->
     Alcotest.(check string) "crash signal named" "SIGSEGV" signal
@@ -422,7 +440,7 @@ let test_supervisor_crash_kf0906 () =
 let test_supervisor_timeout_kf0905 () =
   let bin = compile_fixture "looper" "int main(void) { for (;;); return 0; }\n" in
   let r =
-    Sup.run ~fault_injection:false
+    Sup.run
       ~limits:{ Sup.no_limits with Sup.wall_ms = Some 300. }
       ~argv:[ bin ] ()
   in
@@ -442,7 +460,7 @@ let test_supervisor_oom_kf0907 () =
        }\n"
   in
   let r =
-    Sup.run ~fault_injection:false
+    Sup.run
       ~limits:
         {
           Sup.no_limits with
@@ -461,7 +479,7 @@ let test_supervisor_oom_kf0907 () =
 let test_supervisor_cpu_limit_kf0907 () =
   let bin = compile_fixture "spinner" "int main(void) { for (;;); return 0; }\n" in
   let r =
-    Sup.run ~fault_injection:false
+    Sup.run
       ~limits:
         { Sup.no_limits with Sup.wall_ms = Some 30_000.; Sup.cpu_s = Some 1 }
       ~argv:[ bin ] ()
@@ -475,16 +493,16 @@ let test_supervisor_cpu_limit_kf0907 () =
 let test_supervisor_exit_and_spawn () =
   (* No toolchain needed: exit codes and spawn failures classify without
      compiling anything. *)
-  let r = Sup.run ~fault_injection:false ~argv:[ "false" ] () in
+  let r = Sup.run ~argv:[ "false" ] () in
   (match expect_failure r with
   | Sup.Nonzero_exit { code } -> Alcotest.(check int) "exit code" 1 code
   | _ -> Alcotest.fail "expected Nonzero_exit");
   Alcotest.(check string) "nonzero exit stays KF0904" "KF0904" (diag_code r);
-  let r = Sup.run ~fault_injection:false ~argv:[ "/nonexistent/kfuse-no-such" ] () in
+  let r = Sup.run ~argv:[ "/nonexistent/kfuse-no-such" ] () in
   (match expect_failure r with
   | Sup.Spawn_failed _ -> ()
   | _ -> Alcotest.fail "expected Spawn_failed");
-  let r = Sup.run ~fault_injection:false ~argv:[] () in
+  let r = Sup.run ~argv:[] () in
   match expect_failure r with
   | Sup.Spawn_failed { reason } ->
     Alcotest.(check string) "empty argv refused" "empty argv" reason
@@ -492,9 +510,7 @@ let test_supervisor_exit_and_spawn () =
 
 let test_supervisor_expired_deadline () =
   (* An already-expired deadline must not even spawn the child. *)
-  let r =
-    Sup.run ~fault_injection:false ~deadline:(Deadline.after_ms 0.) ~argv:[ "false" ] ()
-  in
+  let r = Sup.run ~deadline:(Deadline.after_ms 0.) ~argv:[ "false" ] () in
   (match expect_failure r with
   | Sup.Timeout { wall_ms; escalated } ->
     Alcotest.(check (float 0.0)) "no wall time spent" 0.0 wall_ms;
@@ -504,53 +520,88 @@ let test_supervisor_expired_deadline () =
 
 let test_supervisor_stderr_tail () =
   (* A real child's stderr is captured... *)
-  let r = Sup.run ~fault_injection:false ~argv:[ "ls"; "/nonexistent/kfuse-tail" ] () in
+  let r = Sup.run ~argv:[ "ls"; "/nonexistent/kfuse-tail" ] () in
   (match r.Sup.status with
   | Error (Sup.Nonzero_exit _) -> ()
   | _ -> Alcotest.fail "expected ls to fail");
   Alcotest.(check bool) "stderr captured" true (String.length r.Sup.stderr_tail > 0);
-  (* ... and the tail is capped at 4 KiB with a truncation marker. *)
-  let path = Filename.temp_file "kfuse_tail" ".err" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (String.make 10_000 'x');
-      output_string oc "THE-END");
-  let tail = Sup.read_tail path in
-  Alcotest.(check bool) "capped" true
-    (String.length tail <= Sup.stderr_tail_limit + 32);
+  (* ... and a tail longer than 4 KiB is capped, with a truncation
+     marker, keeping the end of the stream. *)
+  let long i = Printf.sprintf "/nonexistent/kfuse-tail-%04d-%s" i (String.make 40 'x') in
+  let r = Sup.run ~argv:(("ls" :: List.init 300 long) @ [ "/nonexistent/THE-END" ]) () in
+  let tail = r.Sup.stderr_tail in
+  Alcotest.(check bool) "capped" true (String.length tail <= Sup.stderr_tail_limit + 32);
   Alcotest.(check bool) "marked truncated" true (contains "truncated" tail);
   Alcotest.(check bool) "keeps the end of the stream" true (contains "THE-END" tail)
 
+(* The exec.* chaos points fire in a fork-server's run-children only: an
+   armed exec.crash passes the compiler by and fails the first run. *)
 let test_exec_fault_points () =
-  (* The exec.* chaos points misbehave in the child, so no toolchain and
-     no real crashing binary are needed: the victim argv is /bin/true. *)
+  let _ = require_toolchain () in
+  let _, fused = fused_app "unsharp" ~width:16 ~height:12 in
+  with_cache_dir @@ fun cache_dir ->
   Faults.with_spec "exec.crash@1" (fun () ->
-      let r = Sup.run ~argv:[ "true" ] () in
-      match expect_failure r with
-      | Sup.Crashed { signal } -> Alcotest.(check string) "chaos crash" "SIGSEGV" signal
-      | _ -> Alcotest.fail "exec.crash: expected Crashed");
-  Faults.with_spec "exec.hang@1" (fun () ->
-      let r =
-        Sup.run ~limits:{ Sup.no_limits with Sup.wall_ms = Some 200. } ~argv:[ "true" ] ()
-      in
-      (match expect_failure r with
-      | Sup.Timeout _ -> ()
-      | _ -> Alcotest.fail "exec.hang: expected Timeout");
-      Alcotest.(check string) "typed KF0905" "KF0905" (diag_code r));
-  Faults.with_spec "exec.oom@1" (fun () ->
-      let r = Sup.run ~argv:[ "true" ] () in
-      (match expect_failure r with
-      | Sup.Limit _ -> ()
-      | _ -> Alcotest.fail "exec.oom: expected Limit");
-      Alcotest.(check string) "typed KF0907" "KF0907" (diag_code r));
-  (* The compile path runs with fault injection off: an armed point must
-     not fire there. *)
-  Faults.with_spec "exec.crash@1" (fun () ->
-      let r = Sup.run ~fault_injection:false ~argv:[ "true" ] () in
-      match r.Sup.status with
-      | Ok () -> ()
-      | Error _ -> Alcotest.fail "fault_injection:false must ignore armed points")
+      let compiles = Exec.Native.compiles () in
+      match Exec.Native.prepare ~cache_dir ~mode:Exec.Native.Subprocess fused with
+      | Error d -> Alcotest.failf "cold prepare: %s" (Kfuse_util.Diag.to_string d)
+      | Ok plan ->
+        Fun.protect ~finally:(fun () -> Exec.Native.release plan) @@ fun () ->
+        Alcotest.(check int) "the prepare compiled" 1 (Exec.Native.compiles () - compiles);
+        (match Exec.Native.run_plan plan (inputs_for fused) with
+        | Ok _ -> Alcotest.fail "the first run must take the armed exec.crash"
+        | Error d ->
+          Alcotest.(check string) "first run KF0906" "KF0906"
+            (Kfuse_util.Diag.code_id d.Kfuse_util.Diag.code));
+        let inputs = inputs_for fused in
+        let reference = Ir.Eval.run_outputs fused (Ir.Eval.env_of_list inputs) in
+        match Exec.Native.run_plan plan inputs with
+        | Error d -> Alcotest.failf "second run: %s" (Kfuse_util.Diag.to_string d)
+        | Ok r ->
+          Alcotest.(check (float 0.0)) "second run exact" 0.0
+            (max_diff reference r.Exec.Native.outputs))
+
+(* A compiler that rejects the generated C is KF0903 carrying its
+   stderr, counts no compile and leaves nothing behind in the cache.
+   The wrapper passes the toolchain probe through to the real compiler
+   and refuses every generated source. *)
+let test_compile_failed_kf0903 () =
+  let tc = require_toolchain () in
+  with_cache_dir @@ fun dir ->
+  let script = Filename.concat dir "reject-cc" in
+  Out_channel.with_open_text script (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\n\
+         for a in \"$@\"; do\n\
+        \  case \"$a\" in */kf-*.c) echo \"KF0903-MARKER $a\" >&2; exit 1;; esac\n\
+         done\n\
+         exec %s \"$@\"\n"
+        (Filename.quote tc.Exec.Toolchain.cc));
+  Unix.chmod script 0o700;
+  let cache_dir = Filename.concat dir "cache" in
+  let saved = Sys.getenv_opt "KFUSE_CC" in
+  (* No unsetenv in OCaml: the variable is restored to the compiler the
+     suite already uses, which probes to the same toolchain. *)
+  Unix.putenv "KFUSE_CC" script;
+  let compiled =
+    Fun.protect ~finally:(fun () ->
+        Unix.putenv "KFUSE_CC" (Option.value saved ~default:tc.Exec.Toolchain.cc))
+    @@ fun () ->
+    let compiles = Exec.Native.compiles () in
+    let r = Exec.Native.compile ~cache_dir ~mode:Exec.Native.Dlopen (neg_reduce_pipeline ()) in
+    Alcotest.(check int) "no compile counted" 0 (Exec.Native.compiles () - compiles);
+    r
+  in
+  (match compiled with
+  | Ok _ -> Alcotest.fail "the rejecting compiler must fail the compile"
+  | Error d ->
+    Alcotest.(check string) "typed KF0903" "KF0903"
+      (Kfuse_util.Diag.code_id d.Kfuse_util.Diag.code);
+    Alcotest.(check bool) "carries the compiler's stderr" true
+      (contains "KF0903-MARKER" (Kfuse_util.Diag.to_string d)));
+  Alcotest.(check (list string)) "no log or tmp file in the cache" []
+    (List.filter
+       (fun f -> contains ".log." f || contains ".tmp." f)
+       (Array.to_list (Sys.readdir cache_dir)))
 
 let test_breaker_lifecycle () =
   let b = Sup.Breaker.create ~threshold:2 ~cooldown_ms:50. () in
@@ -803,6 +854,50 @@ let test_forkserver_no_keep_alive () =
   let rec await n = exited pid || (n > 0 && (Thread.delay 0.01; await (n - 1))) in
   Alcotest.(check bool) "the server exited on its own" true (await 500)
 
+(* The fds a [sleep 30] child holds once it has exec'd (between fork
+   and exec it still holds everything), as [(fd, target)] in fd order. *)
+let exec_fds child =
+  let proc = Printf.sprintf "/proc/%d" (Sup.Child.pid child) in
+  let rec await_exec n =
+    let cmdline =
+      try In_channel.with_open_bin (proc ^ "/cmdline") In_channel.input_all
+      with Sys_error _ -> ""
+    in
+    if cmdline <> "sleep\00030\000" && n > 0 then begin
+      Thread.delay 0.01;
+      await_exec (n - 1)
+    end
+  in
+  await_exec 200;
+  let fds = proc ^ "/fd" in
+  Array.to_list (Sys.readdir fds)
+  |> List.filter_map (fun fd ->
+         try Some (int_of_string fd, Unix.readlink (Filename.concat fds fd))
+         with Unix.Unix_error _ -> None)
+  |> List.sort compare
+
+let spawn_sleep () =
+  match Sup.Child.spawn ~argv:[ "sleep"; "30" ] () with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "spawn sleep: %s" e
+
+let test_children_hold_only_stdio () =
+  let check what =
+    let c = spawn_sleep () in
+    Fun.protect ~finally:(fun () -> ignore (Sup.Child.terminate ~grace_ms:0. c)) @@ fun () ->
+    Alcotest.(check (list int)) what [ 0; 1; 2 ] (List.map fst (exec_fds c))
+  in
+  check "a child holds fds 0-2 only";
+  (* A run in flight holds its /dev/null and stderr memfd open. *)
+  let run = ref None in
+  let runner = Thread.create (fun () -> run := Some (Sup.run ~argv:[ "sleep"; "1" ] ())) () in
+  Thread.delay 0.2;
+  check "also while a supervised run is in flight";
+  Thread.join runner;
+  match !run with
+  | Some { Sup.status = Ok (); _ } -> ()
+  | _ -> Alcotest.fail "the supervised run failed"
+
 let test_forkserver_release_reaps () =
   let _ = require_toolchain () in
   let _, fused = fused_app "sobel" ~width:16 ~height:12 in
@@ -819,32 +914,10 @@ let test_forkserver_release_reaps () =
   (* A child spawned while the plan is pinned (a compiler run, say) must
      not inherit the plan's socket or memfds: a held socket would keep
      the server from ever seeing EOF on release. *)
-  let bystander =
-    match Sup.Child.spawn ~argv:[ "sleep"; "30" ] () with
-    | Ok c -> c
-    | Error e -> Alcotest.failf "spawn sleep: %s" e
-  in
+  let bystander = spawn_sleep () in
   Fun.protect ~finally:(fun () -> ignore (Sup.Child.terminate ~grace_ms:0. bystander))
   @@ fun () ->
-  let proc = Printf.sprintf "/proc/%d" (Sup.Child.pid bystander) in
-  (* Between fork and exec the child still holds everything. *)
-  let rec await_exec n =
-    let cmdline =
-      try In_channel.with_open_bin (proc ^ "/cmdline") In_channel.input_all
-      with Sys_error _ -> ""
-    in
-    if cmdline <> "sleep\00030\000" && n > 0 then begin
-      Thread.delay 0.01;
-      await_exec (n - 1)
-    end
-  in
-  await_exec 200;
-  let fds = proc ^ "/fd" in
-  let links =
-    Array.to_list (Sys.readdir fds)
-    |> List.filter_map (fun fd ->
-           try Some (Unix.readlink (Filename.concat fds fd)) with Unix.Unix_error _ -> None)
-  in
+  let links = List.map snd (exec_fds bystander) in
   Alcotest.(check (list string)) "the bystander holds no socket and no plane memfd" []
     (List.filter
        (fun l -> String.starts_with ~prefix:"socket:" l || contains "memfd:kfuse" l)
@@ -931,7 +1004,7 @@ let suite =
       test_supervisor_expired_deadline;
     Alcotest.test_case "supervisor: stderr tail captured and capped" `Quick
       test_supervisor_stderr_tail;
-    Alcotest.test_case "supervisor: exec.* chaos fault points" `Quick
+    Alcotest.test_case "supervisor: exec.* chaos fault points" `Slow
       test_exec_fault_points;
     Alcotest.test_case "supervisor: circuit breaker lifecycle" `Quick
       test_breaker_lifecycle;
@@ -954,4 +1027,10 @@ let suite =
     Alcotest.test_case "sandbox policy string roundtrip" `Quick
       test_policy_string_roundtrip;
     Alcotest.test_case "fuzz oracle: native-exec" `Slow test_oracle_native_exec;
+    Alcotest.test_case "emit golden: dlopen entry runs in place" `Quick
+      test_dlopen_entry_in_place;
+    Alcotest.test_case "native: compiler rejection is KF0903" `Slow
+      test_compile_failed_kf0903;
+    Alcotest.test_case "supervisor: children hold fds 0-2 only" `Quick
+      test_children_hold_only_stdio;
   ]
